@@ -8,42 +8,34 @@ import (
 // Speculative coalescing of asynchronous chain raises (the paper's §5
 // future work): when a merged handler asynchronously raises an event
 // that is a covered async-entry segment of its own super-handler, and
-// the target is this same domain with nothing ahead of it in line, the
-// raise is captured as a pending *continuation* instead of travelling
-// the enqueue/wake/pop route. The continuation still runs as its own
-// top-level activation — handler atomicity, tracing depth and the
-// serialized-activation discipline are unchanged — but it executes
-// directly through the merged segment, skipping the generic
-// marshal/lookup/indirect-call sequence and the queue handoff.
+// the domain t owning that event has nothing ahead of it in line, the
+// raise is captured as a pending *continuation* on t instead of
+// travelling the enqueue/wake/pop route. The continuation still runs as
+// its own top-level activation on t — handler atomicity, domain
+// affinity, tracing depth and the serialized-activation discipline are
+// unchanged — but it executes directly through the merged segment,
+// skipping the generic marshal/lookup/indirect-call sequence and the
+// queue handoff. t may be the raising domain or another one (an async
+// pipeline whose stages are pinned to different shards); both land in
+// t's cont list through the same guard.
 //
-// The capture guard (all under one queue-lock hold, so the decision is
-// atomic against producers):
+// The capture guard (all under t's queue lock, so the decision is
+// atomic against producers and t's consumer):
 //
 //   - the raised event has a covered, non-entry segment marked
 //     AsyncEntry by the planner;
 //   - the segment guard (binding version) currently matches;
-//   - the owning domain's run queue is empty, no batched-drain
-//     remainder is in flight, no timer is due, and no cross-domain
-//     handoff is pending — otherwise the continuation would overtake
-//     work that the generic schedule runs first.
+//   - t's run queue is unbounded and empty, no batched-drain remainder
+//     is in flight on t, and no timer of t is due — otherwise the
+//     continuation would overtake work that the generic schedule runs
+//     first, or skip the overflow policy a bounded queue applies.
 //
-// When the segment's event is owned by the raising domain the capture
-// lands in the domain's cont list as before. When it is owned by a
-// *different* domain — an async pipeline whose stages are pinned to
-// different shards — the continuation is published into the target
-// domain's single handoff slot instead (one CAS while holding the
-// target's queue lock), so each pipeline link skips the ring
-// enqueue/wake/pop handoff while still executing in the domain that
-// owns the event; handler atomicity and domain affinity are unchanged.
-// The cross-domain guard additionally requires the target's cont list
-// and handoff slot to be empty: the slot stands for the head of the
-// target's (empty) queue, and a pending same-domain continuation is
-// already ahead of anything a remote raise could add.
+// Entries already pending in t.cont are not an obstacle: they stand for
+// t's queue head, and the generic route would enqueue this raise behind
+// them, which is exactly where a FIFO append puts it.
 //
-// Any guard failure falls back to a real enqueue, so the observable
-// order equals the generic one: a captured continuation is exactly what
-// the generic queue head would have been, and later enqueues land
-// behind it on both routes. The guard is re-checked when the
+// Any guard failure falls back to a real enqueue on t, so the observable
+// order equals the generic one. The segment guard is re-checked when the
 // continuation runs; a rebind that raced the pending continuation drops
 // it into the original unoptimized code for just that event (the same
 // per-segment fallback as Fig. 14).
@@ -51,7 +43,11 @@ import (
 // dispatchNestedAsync attempts to coalesce an asynchronous raise of ev
 // from inside a merged handler. It reports whether it consumed the
 // raise (captured a continuation or fell back to enqueueing itself);
-// false means the caller must take the normal enqueue path.
+// false means the caller must take the normal enqueue path. The
+// counters and span kind tell the two capture directions apart:
+// Coalesced/CoalesceFallbacks and KindCoalesced when the owning domain
+// is the raising one, XDomainHandoffs/XDomainFallbacks and KindHandoff
+// otherwise.
 func (ce *chainExec) dispatchNestedAsync(c *Ctx, ev ID, args []Arg) bool {
 	sh := ce.sh
 	idx, ok := sh.segOf[ev]
@@ -60,15 +56,15 @@ func (ce *chainExec) dispatchNestedAsync(c *Ctx, ev ID, args []Arg) bool {
 	}
 	d := ce.d
 	s := d.sys
+	t := s.domains[sh.recs[idx].dom.Load()]
+	captured, fellBack, kind := &d.stats.Coalesced, &d.stats.CoalesceFallbacks, span.KindCoalesced
+	if t != d {
+		captured, fellBack, kind = &d.stats.XDomainHandoffs, &d.stats.XDomainFallbacks, span.KindHandoff
+	}
 	if !sh.segMatches(idx) {
 		// Already-stale segment guard: not worth capturing.
-		d.stats.CoalesceFallbacks.Add(1)
+		fellBack.Add(1)
 		return false
-	}
-	if t := s.domains[sh.recs[idx].dom.Load()]; t != d {
-		// The segment's event is pinned to another domain: hand the
-		// continuation off into that domain's slot (or its queue).
-		return ce.handoffCross(t, sh, idx, ev, args)
 	}
 	a := s.getAct()
 	a.ev, a.mode = ev, Async
@@ -76,64 +72,17 @@ func (ce *chainExec) dispatchNestedAsync(c *Ctx, ev ID, args []Arg) bool {
 	if s.spans != nil && d.curTrace != 0 {
 		// Stamp the raising span's context: the continuation (or the
 		// fallback enqueue) records a child span either way.
-		a.trace, a.pspan, a.skind = d.curTrace, d.curSpan, uint8(span.KindCoalesced)
-	}
-	d.qmu.Lock()
-	if d.q.len() > 0 || d.batchRem.Load() > 0 || d.handoff.Load() != nil || d.dueTimerLocked(s.clock.Now()) {
-		// Pending work would be overtaken (or a bounded queue is under
-		// pressure): fall back to a real enqueue behind it. batchRem covers
-		// activations a batched drain has popped but not yet run — they are
-		// no longer in the queue, yet still ahead of this raise in program
-		// order, so the raise must land behind them.
-		d.qmu.Unlock()
-		d.stats.CoalesceFallbacks.Add(1)
-		a.skind = uint8(span.KindAsync) // it travels the queue after all
-		if s.tel != nil {
-			a.enqAt, a.enqSet = s.clock.Now(), true
-		}
-		d.enqueueAct(a)
-		return true
-	}
-	a.csh, a.cidx = sh, idx
-	d.cont = append(d.cont, a)
-	d.qmu.Unlock()
-	d.stats.Coalesced.Add(1)
-	if h := s.sched; h != nil {
-		h.Sched(SchedCoalesce, d.idx, ev, sh.Segments[idx].Version)
-	}
-	// A sync Raise from outside the run loop can coalesce while the
-	// domain's loop is parked; wake it like an enqueue would.
-	d.nudge()
-	return true
-}
-
-// handoffCross captures an asynchronous raise of a covered async-entry
-// segment owned by another domain t into t's handoff slot, so a
-// cross-domain pipeline link merges into a continuation instead of
-// paying the ring enqueue/wake/pop. The guard runs under t's queue
-// lock: t must have nothing runnable or in flight (empty queue, no
-// batch remainder, no pending continuation or handoff, no due timer),
-// because the slot stands for the head of t's empty queue. A guard
-// failure enqueues the activation on t for real — the raise is consumed
-// either way, so the caller never falls through to the generic route.
-// The segment guard is re-checked when t runs the continuation.
-func (ce *chainExec) handoffCross(t *Domain, sh *SuperHandler, idx int, ev ID, args []Arg) bool {
-	d := ce.d
-	s := d.sys
-	a := s.getAct()
-	a.ev, a.mode = ev, Async
-	a.setArgs(args)
-	if s.spans != nil && d.curTrace != 0 {
-		a.trace, a.pspan, a.skind = d.curTrace, d.curSpan, uint8(span.KindHandoff)
+		a.trace, a.pspan, a.skind = d.curTrace, d.curSpan, uint8(kind)
 	}
 	t.qmu.Lock()
-	if t.q.len() > 0 || t.batchRem.Load() > 0 || len(t.cont) > t.contHead ||
-		t.handoff.Load() != nil || t.dueTimerLocked(s.clock.Now()) {
-		// The target has work ahead of this raise in the generic order
-		// (or another handoff already holds the slot): land behind it in
-		// the target's queue, like any remote producer.
+	if t.qcap > 0 || t.q.len() > 0 || t.batchRem.Load() > 0 || t.dueTimerLocked(s.clock.Now()) {
+		// Pending work would be overtaken, or a bounded queue must apply
+		// its overflow policy: fall back to a real enqueue. batchRem
+		// covers activations a batched drain has popped but not yet run —
+		// they are no longer in the queue, yet still ahead of this raise
+		// in program order, so the raise must land behind them.
 		t.qmu.Unlock()
-		d.stats.XDomainFallbacks.Add(1)
+		fellBack.Add(1)
 		a.skind = uint8(span.KindAsync) // it travels the queue after all
 		if s.tel != nil {
 			a.enqAt, a.enqSet = s.clock.Now(), true
@@ -142,26 +91,14 @@ func (ce *chainExec) handoffCross(t *Domain, sh *SuperHandler, idx int, ev ID, a
 		return true
 	}
 	a.csh, a.cidx = sh, idx
-	// Single-CAS publish under t's qmu: the lock makes the slot check and
-	// the publish one atomic decision against t's consumers and rival
-	// publishers, and the CAS keeps the slot a one-writer cell even if
-	// that invariant is ever violated.
-	if !t.handoff.CompareAndSwap(nil, a) {
-		t.qmu.Unlock()
-		d.stats.XDomainFallbacks.Add(1)
-		a.csh, a.cidx = nil, 0
-		a.skind = uint8(span.KindAsync)
-		if s.tel != nil {
-			a.enqAt, a.enqSet = s.clock.Now(), true
-		}
-		t.enqueueAct(a)
-		return true
-	}
+	t.cont = append(t.cont, a)
 	t.qmu.Unlock()
-	d.stats.XDomainHandoffs.Add(1)
+	captured.Add(1)
 	if h := s.sched; h != nil {
-		h.Sched(SchedHandoff, t.idx, ev, sh.Segments[idx].Version)
+		h.Sched(SchedCoalesce, t.idx, ev, sh.Segments[idx].Version)
 	}
+	// t's loop may be parked (a remote capture, or a sync Raise from
+	// outside the run loop); wake it like an enqueue would.
 	t.nudge()
 	return true
 }
@@ -178,17 +115,15 @@ func (d *Domain) runCont(a *activation) {
 		return
 	}
 	sh, idx := a.csh, a.cidx
-	kind := span.KindCoalesced
-	if a.skind == uint8(span.KindHandoff) {
-		kind = span.KindHandoff
-	}
 	func() {
 		// Deferred unlock for the same reason as runTop: a Propagate-policy
 		// panic unwinds through here.
 		d.runMu.Lock()
 		defer d.runMu.Unlock()
 		d.telAttempt = 0
-		s.dispatchSeg(d, sh, idx, a.ev, a.args(), a.trace, a.pspan, kind)
+		// The capture stamped KindCoalesced or KindHandoff on a traced
+		// record; an untraced one records no span.
+		s.dispatchSeg(d, sh, idx, a.ev, a.args(), a.trace, a.pspan, span.Kind(a.skind))
 	}()
 	s.putAct(a)
 }

@@ -1,6 +1,7 @@
 package event
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -130,8 +131,9 @@ func TestCoalesceFallbackDueTimer(t *testing.T) {
 }
 
 // TestCoalesceFallbackCrossDomain: an async-entry segment pinned to a
-// different, idle domain is captured into that domain's handoff slot —
-// not coalesced locally, not enqueued — and runs there on drain.
+// different, idle domain is captured onto that domain's continuation
+// list — counted as a handoff, not a local coalesce, and not enqueued —
+// and runs there on drain.
 func TestCoalesceFallbackCrossDomain(t *testing.T) {
 	s := New(WithDomains(2))
 	head, _, tailRuns := pipelineSH(t, s) // IDs alternate: head on domain 0, tail on domain 1
@@ -197,6 +199,123 @@ func TestHandoffFallbackBusyTarget(t *testing.T) {
 	s.Drain()
 	if len(order) != 2 || order[0] != "other" || order[1] != "tail" {
 		t.Fatalf("handoff fallback broke FIFO order: %v", order)
+	}
+}
+
+// installAsyncSH installs a super-handler entered at steps[0] whose
+// remaining steps are covered AsyncEntry segments, one per event.
+func installAsyncSH(t *testing.T, s *System, steps ...Step) {
+	t.Helper()
+	sh := &SuperHandler{Entry: steps[0].Event}
+	for i, st := range steps {
+		sh.Segments = append(sh.Segments, Segment{Event: st.Event, EventName: st.EventName,
+			Version: s.Version(st.Event), AsyncEntry: i > 0, Steps: []Step{st}})
+	}
+	if err := s.InstallFastPath(sh); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCoalesceRespectsQueueBound: a bounded run queue applies its
+// overflow policy to a covered raise exactly as the generic route does.
+// The head handler raises covered x, then uncovered y, into a queue of
+// capacity 1 under RejectNew: generically x fills the queue and y is
+// rejected, so a capture of x — which would leave room for y — must not
+// happen.
+func TestCoalesceRespectsQueueBound(t *testing.T) {
+	run := func(optimized bool) ([]string, []error, StatsSnapshot) {
+		var reported []error
+		s := New(WithQueueBound(1, RejectNew), WithErrorReporter(func(err error) { reported = append(reported, err) }))
+		head := s.Define("head")
+		x := s.Define("x")
+		y := s.Define("y")
+		var ran []string
+		headFn := func(ctx *Ctx) {
+			ctx.RaiseAsync(x)
+			ctx.RaiseAsync(y)
+		}
+		xFn := func(*Ctx) { ran = append(ran, "x") }
+		s.Bind(head, "hh", headFn)
+		s.Bind(x, "hx", xFn)
+		s.Bind(y, "hy", func(*Ctx) { ran = append(ran, "y") })
+		if optimized {
+			installAsyncSH(t, s,
+				Step{Event: head, EventName: "head", Handler: "hh", Fn: headFn},
+				Step{Event: x, EventName: "x", Handler: "hx", Fn: xFn})
+		}
+		if err := s.Raise(head); err != nil {
+			t.Fatal(err)
+		}
+		s.Drain()
+		return ran, reported, s.StatsAggregate()
+	}
+	for _, optimized := range []bool{false, true} {
+		ran, reported, st := run(optimized)
+		if len(ran) != 1 || ran[0] != "x" {
+			t.Errorf("optimized=%v ran %v, want [x]", optimized, ran)
+		}
+		if len(reported) != 1 || reported[0] != ErrQueueFull {
+			t.Errorf("optimized=%v reported %v, want [ErrQueueFull]", optimized, reported)
+		}
+		if st.Coalesced != 0 {
+			t.Errorf("optimized=%v captured %d continuations past a queue bound", optimized, st.Coalesced)
+		}
+	}
+}
+
+// TestCaptureAppendsBehindPendingContinuations: a capture into a domain
+// that already holds pending continuations appends behind them. One
+// activation on domain 0 raises x (domain 1), m (domain 0) and y
+// (domain 1): all three are captured — two handoffs into the same idle
+// target, one same-domain coalesce — and they run in the generic FIFO
+// order.
+func TestCaptureAppendsBehindPendingContinuations(t *testing.T) {
+	run := func(optimized bool) ([]string, StatsSnapshot) {
+		s := New(WithDomains(2))
+		head, x, m, y := s.Define("head"), s.Define("x"), s.Define("m"), s.Define("y")
+		for ev, dom := range map[ID]int{head: 0, x: 1, m: 0, y: 1} {
+			if err := s.PinEvent(ev, dom); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var ran []string
+		note := func(name string) HandlerFunc {
+			return func(ctx *Ctx) { ran = append(ran, fmt.Sprint(name, ctx.Args.Int("n"))) }
+		}
+		headFn := func(ctx *Ctx) {
+			ctx.RaiseAsync(x, A("n", 1))
+			ctx.RaiseAsync(m, A("n", 2))
+			ctx.RaiseAsync(y, A("n", 3))
+		}
+		xFn, mFn, yFn := note("x"), note("m"), note("y")
+		s.Bind(head, "hh", headFn)
+		s.Bind(x, "hx", xFn)
+		s.Bind(m, "hm", mFn)
+		s.Bind(y, "hy", yFn)
+		if optimized {
+			installAsyncSH(t, s,
+				Step{Event: head, EventName: "head", Handler: "hh", Fn: headFn},
+				Step{Event: x, EventName: "x", Handler: "hx", Fn: xFn},
+				Step{Event: m, EventName: "m", Handler: "hm", Fn: mFn},
+				Step{Event: y, EventName: "y", Handler: "hy", Fn: yFn})
+		}
+		if err := s.Raise(head); err != nil {
+			t.Fatal(err)
+		}
+		s.Drain()
+		return ran, s.StatsAggregate()
+	}
+	generic, _ := run(false)
+	optimized, st := run(true)
+	if fmt.Sprint(generic) != "[m2 x1 y3]" {
+		t.Fatalf("generic order = %v, want [m2 x1 y3]", generic)
+	}
+	if fmt.Sprint(optimized) != fmt.Sprint(generic) {
+		t.Fatalf("optimized order %v != generic %v", optimized, generic)
+	}
+	if st.XDomainHandoffs != 2 || st.XDomainFallbacks != 0 || st.Coalesced != 1 || st.CoalesceFallbacks != 0 {
+		t.Fatalf("want 2 handoffs + 1 coalesce, no fallbacks: XDomainHandoffs=%d XDomainFallbacks=%d Coalesced=%d CoalesceFallbacks=%d",
+			st.XDomainHandoffs, st.XDomainFallbacks, st.Coalesced, st.CoalesceFallbacks)
 	}
 }
 

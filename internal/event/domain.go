@@ -36,24 +36,16 @@ type Domain struct {
 	qpolicy  OverflowPolicy // applied when the bounded queue is full
 	wake     chan struct{}  // nudges run loops when work arrives; never nil
 
-	// cont holds coalesced asynchronous raises pending on this domain
-	// (coalesce.go): continuations captured instead of enqueued, drained
-	// before the run queue (they stand for what would have been the queue
-	// head, which the coalesce guard proved empty). contHead indexes the
-	// next pending entry; the slice is reset when it empties.
+	// cont holds the continuations pending on this domain (coalesce.go):
+	// asynchronous raises captured instead of enqueued, by a merged chain
+	// running here or in another domain. They are drained before timers
+	// and the run queue: the capture guard proved the queue empty, so the
+	// list stands for what would have been the queue head, and later
+	// captures append behind earlier ones as generic enqueues would.
+	// contHead indexes the next pending entry; the slice is reset when it
+	// empties.
 	cont     []*activation
 	contHead int
-
-	// handoff is the cross-domain continuation slot (coalesce.go): at
-	// most one continuation captured by a merged chain running in
-	// *another* domain, pending here on the owning domain. It is
-	// published with a single CAS while the publisher holds this
-	// domain's qmu and the capture guard (empty queue, no batch
-	// remainder, no pending continuation, no due timer, empty slot), so
-	// the slot stands for what would have been the queue head. Consumed
-	// before cont: a same-domain continuation captured while a handoff
-	// pends is, in the generic order, behind the handoff's enqueue.
-	handoff atomic.Pointer[activation]
 
 	// batchK is the drain batch size for run/DrainBatched (<=1:
 	// unbatched). Atomic so the adaptive controller can retune it while
@@ -409,11 +401,11 @@ func (s *System) BatchPinned(dom int) bool {
 // the cache, and the fast-path version check re-runs on every dispatch
 // regardless.
 //
-// Continuations need no per-item drain here: the coalesce and handoff
-// guards reject captures while the batch remainder is in flight
+// Continuations need no per-item drain here: the capture guard rejects
+// captures into this domain while the batch remainder is in flight
 // (batchRem), so one can only appear during the final item — and the
-// next popRunnableBatch pops the pending handoff and continuations
-// before anything else.
+// next popRunnableBatch pops the pending continuations before anything
+// else.
 func (d *Domain) runBatch(batch []*activation) int {
 	s := d.sys
 	n := 0

@@ -292,58 +292,24 @@ func cloneArgs(args []Arg) []Arg {
 }
 
 // popRunnable removes and returns the next runnable activation of this
-// domain: a queued asynchronous activation, or a timer whose deadline
-// has passed (nil when nothing is runnable). A due timer entry is
-// drained into a pooled activation record — the entry's cloned argument
-// slice transfers ownership, so the pop reallocates nothing — and the
+// domain: a pending continuation, a timer whose deadline has passed, or
+// a queued asynchronous activation (nil when nothing is runnable). The
 // caller owns the returned record.
 func (d *Domain) popRunnable() *activation {
 	d.qmu.Lock()
 	defer d.qmu.Unlock()
-	// Pending continuations run first: each stands for what would have
-	// been the queue head at capture time (the capture guard required an
-	// empty queue), so continuation-before-queue preserves the generic
-	// FIFO order. A cross-domain handoff precedes same-domain
-	// continuations: its guard required the cont list empty, so any
-	// pending continuation was captured after it.
-	if a := d.takeHandoffLocked(); a != nil {
-		return a
-	}
+	// Pending continuations run first: the capture guard required an
+	// empty queue, so each stands for what would have been the queue head
+	// at capture time, and continuation-before-queue preserves the generic
+	// FIFO order.
 	if a := d.popContLocked(); a != nil {
 		return a
 	}
 	now := d.sys.clock.Now()
-	// Due timers fire before queued events with respect to their deadline
-	// order, but queued events that were enqueued first still drain FIFO;
-	// we give precedence to due timers to honor their deadlines.
-	for len(d.timers) > 0 {
-		e := d.timers.peek()
-		e.mu.Lock()
-		if e.done {
-			e.mu.Unlock()
-			d.dropDoneTimerLocked()
-			continue
-		}
-		if e.at <= now {
-			e.done = true
-			e.mu.Unlock()
-			heap.Pop(&d.timers)
-			a := d.sys.getAct()
-			a.ev, a.mode, a.attempt, a.fire = e.ev, e.mode, e.attempt, e.fire
-			a.trace, a.pspan, a.skind = e.trace, e.pspan, e.skind
-			a.adoptArgs(e.args)
-			e.args = nil
-			if tel := d.sys.tel; tel != nil && a.fire == nil {
-				// A timer's queue delay is the time past its deadline.
-				tel.RecordQueueDelay(d.idx, int32(a.ev), int64(now-e.at))
-			}
-			if h := d.sys.sched; h != nil {
-				h.Sched(SchedTimerFire, d.idx, a.ev, 0)
-			}
-			return a
-		}
-		e.mu.Unlock()
-		break
+	// Due timers take precedence over queued events to honor their
+	// deadlines.
+	if a := d.popDueTimerLocked(now); a != nil {
+		return a
 	}
 	a := d.q.pop()
 	if a != nil {
@@ -379,93 +345,35 @@ func (d *Domain) popContLocked() *activation {
 	return a
 }
 
-// takeCont pops the oldest pending coalesced continuation, locking qmu.
-func (d *Domain) takeCont() *activation {
-	d.qmu.Lock()
-	a := d.popContLocked()
-	d.qmu.Unlock()
-	return a
-}
-
-// takeHandoffLocked removes and returns the pending cross-domain
-// continuation (nil when none), reporting the consume as a
-// SchedContinue like a same-domain continuation pop. Caller holds qmu.
-func (d *Domain) takeHandoffLocked() *activation {
-	a := d.handoff.Swap(nil)
-	if a == nil {
-		return nil
-	}
-	if h := d.sys.sched; h != nil {
-		h.Sched(SchedContinue, d.idx, a.ev, 0)
-	}
-	return a
-}
-
 // dueTimerLocked reports whether a live timer of this domain is at or
 // past its deadline at now. Caller holds qmu.
 func (d *Domain) dueTimerLocked(now Duration) bool {
-	// Same hoisted compare as popRunnableBatch: the heap top's immutable
-	// `at` lower-bounds every live deadline, so one unlocked read answers
-	// the common "nothing due" case.
+	// `at` is written once at arming (under qmu, like every heap
+	// mutation) and never again, so the heap top's deadline — the minimum
+	// over all entries, where even a canceled entry's stale `at` is a
+	// conservative lower bound — answers the common "nothing due" case
+	// without the per-entry mutex.
 	if len(d.timers) == 0 || d.timers[0].at > now {
 		return false
 	}
-	for len(d.timers) > 0 {
-		e := d.timers.peek()
-		e.mu.Lock()
-		done, at := e.done, e.at
-		e.mu.Unlock()
-		if done {
-			d.dropDoneTimerLocked()
-			continue
-		}
-		return at <= now
-	}
-	return false
+	at, ok := d.nextDeadlineLocked()
+	return ok && at <= now
 }
 
-// popRunnableBatch fills dst with up to len(dst) runnable activations
-// under a single qmu acquisition — a pending cross-domain handoff
-// first, then pending continuations, then due timers in deadline order,
-// then queued activations FIFO — and reports how many it moved. The queued portion reports one SchedBatchPop event
-// carrying the popped count instead of a SchedPop per activation.
-func (d *Domain) popRunnableBatch(dst []*activation) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	d.qmu.Lock()
-	n := 0
-	if a := d.takeHandoffLocked(); a != nil {
-		dst[n] = a
-		n++
-	}
-	for n < len(dst) {
-		a := d.popContLocked()
-		if a == nil {
-			break
-		}
-		dst[n] = a
-		n++
-	}
-	now := d.sys.clock.Now()
-	// Single hoisted deadline compare per batch: `at` is written once at
-	// arming (under qmu, like every heap mutation) and never again, so the
-	// heap top's deadline — the minimum over all entries, where even a
-	// canceled entry's stale `at` is a conservative lower bound — is
-	// readable here without the per-entry mutex. Batches with no due timer
-	// (the steady-state drain) skip the lock/peek dance entirely; the
-	// locked loop below runs only when a deadline has actually passed.
-	for n < len(dst) && len(d.timers) > 0 && d.timers[0].at <= now {
+// popDueTimerLocked pops the earliest timer at or past its deadline at
+// now and drains it into a pooled activation record (nil when no timer
+// is due). The entry's cloned argument slice transfers ownership, so the
+// pop reallocates nothing. Caller holds qmu.
+func (d *Domain) popDueTimerLocked(now Duration) *activation {
+	// Same hoisted heap-top compare as dueTimerLocked: drains with no due
+	// timer skip the per-entry lock entirely.
+	for len(d.timers) > 0 && d.timers[0].at <= now {
 		e := d.timers.peek()
 		e.mu.Lock()
 		if e.done {
 			e.mu.Unlock()
 			d.dropDoneTimerLocked()
 			continue
-		}
-		if e.at > now {
-			e.mu.Unlock()
-			break
 		}
 		e.done = true
 		e.mu.Unlock()
@@ -476,10 +384,41 @@ func (d *Domain) popRunnableBatch(dst []*activation) int {
 		a.adoptArgs(e.args)
 		e.args = nil
 		if tel := d.sys.tel; tel != nil && a.fire == nil {
+			// A timer's queue delay is the time past its deadline.
 			tel.RecordQueueDelay(d.idx, int32(a.ev), int64(now-e.at))
 		}
 		if h := d.sys.sched; h != nil {
 			h.Sched(SchedTimerFire, d.idx, a.ev, 0)
+		}
+		return a
+	}
+	return nil
+}
+
+// popRunnableBatch fills dst with up to len(dst) runnable activations
+// under a single qmu acquisition — pending continuations first, then due
+// timers in deadline order, then queued activations FIFO — and reports
+// how many it moved. The queued portion reports one SchedBatchPop event
+// carrying the popped count instead of a SchedPop per activation.
+func (d *Domain) popRunnableBatch(dst []*activation) int {
+	if len(dst) == 0 {
+		return 0
+	}
+	d.qmu.Lock()
+	n := 0
+	for n < len(dst) {
+		a := d.popContLocked()
+		if a == nil {
+			break
+		}
+		dst[n] = a
+		n++
+	}
+	now := d.sys.clock.Now()
+	for n < len(dst) {
+		a := d.popDueTimerLocked(now)
+		if a == nil {
+			break
 		}
 		dst[n] = a
 		n++
@@ -521,11 +460,16 @@ func (d *Domain) dropDoneTimerLocked() {
 func (d *Domain) nextDeadline() (Duration, bool) {
 	d.qmu.Lock()
 	defer d.qmu.Unlock()
+	return d.nextDeadlineLocked()
+}
+
+// nextDeadlineLocked is nextDeadline with qmu held; it drops canceled
+// heap tops on the way.
+func (d *Domain) nextDeadlineLocked() (Duration, bool) {
 	for len(d.timers) > 0 {
 		e := d.timers.peek()
 		e.mu.Lock()
-		done := e.done
-		at := e.at
+		done, at := e.done, e.at
 		e.mu.Unlock()
 		if done {
 			d.dropDoneTimerLocked()

@@ -31,9 +31,10 @@ const (
 	// guards passed); ver is the entry guard version that matched.
 	SchedFastEntry
 	// SchedCoalesce: an asynchronous raise of a covered async-entry
-	// segment was captured as a pending continuation on its own domain
-	// instead of enqueued (coalesce.go); ver is the segment guard version
-	// observed at capture.
+	// segment was captured as a pending continuation instead of enqueued
+	// (coalesce.go); dom is the domain owning the event — the raising one
+	// or another — and ver is the segment guard version observed at
+	// capture.
 	SchedCoalesce
 	// SchedContinue: a pending coalesced continuation was taken for
 	// execution (the pop of a coalesced raise).
@@ -42,12 +43,6 @@ const (
 	// under one queue-lock acquisition; ev is the first popped event. It
 	// replaces the per-activation SchedPop on the batched path.
 	SchedBatchPop
-	// SchedHandoff: an asynchronous raise of a covered async-entry
-	// segment owned by *another* domain was captured into that domain's
-	// handoff slot instead of enqueued (coalesce.go); dom is the
-	// receiving domain, ver is the segment guard version observed at
-	// capture. The consume reports as SchedContinue on the same domain.
-	SchedHandoff
 )
 
 // String returns the conventional name of the point.
@@ -73,8 +68,6 @@ func (p SchedPoint) String() string {
 		return "continue"
 	case SchedBatchPop:
 		return "batch-pop"
-	case SchedHandoff:
-		return "handoff"
 	default:
 		return "SchedPoint(?)"
 	}
@@ -133,26 +126,5 @@ func (s *System) NextDeadline() (Duration, bool) {
 func (d *Domain) runnable() bool {
 	d.qmu.Lock()
 	defer d.qmu.Unlock()
-	if d.handoff.Load() != nil {
-		return true
-	}
-	if len(d.cont) > d.contHead {
-		return true
-	}
-	if d.q.len() > 0 {
-		return true
-	}
-	now := d.sys.clock.Now()
-	for len(d.timers) > 0 {
-		e := d.timers.peek()
-		e.mu.Lock()
-		done, at := e.done, e.at
-		e.mu.Unlock()
-		if done {
-			d.dropDoneTimerLocked()
-			continue
-		}
-		return at <= now
-	}
-	return false
+	return len(d.cont) > d.contHead || d.q.len() > 0 || d.dueTimerLocked(d.sys.clock.Now())
 }

@@ -48,12 +48,12 @@ type Counters struct {
 
 	// Async chain-merging counters (coalesce.go). The X-domain pair
 	// counts cross-domain captures: raises of covered segments owned by
-	// another domain, handed off into that domain's continuation slot
-	// (or enqueued there when its guard failed). Both are credited to
+	// another domain, appended to that domain's continuation list (or
+	// enqueued there when its guard failed). Both are credited to
 	// the raising domain, like Coalesced/CoalesceFallbacks.
 	Coalesced         atomic.Int64 // async raises captured as pending continuations
 	CoalesceFallbacks atomic.Int64 // coalesce attempts that fell back to a real enqueue
-	XDomainHandoffs   atomic.Int64 // cross-domain raises captured into a handoff slot
+	XDomainHandoffs   atomic.Int64 // cross-domain raises captured onto the target's continuation list
 	XDomainFallbacks  atomic.Int64 // cross-domain captures that fell back to a real enqueue
 
 	// Supervision counters (fault.go). All zero under the default

@@ -395,11 +395,11 @@ type AsyncPipelineCoverage struct {
 // plan (AsyncChains) built from a manually-weighted event graph, so the
 // produce super-handler covers the whole pipeline: its interior raise
 // of process is speculatively coalesced when domain 0's queue permits,
-// while the cross-domain raise of deliver is captured into domain 1's
-// handoff slot (or enqueued for real when domain 1 is busy). A rival
-// thread raises process directly, forcing queue-not-empty fallbacks on
-// schedules where it gets ahead of the producer. Every schedule must observe the exact generic delivery
-// order and stats.
+// while the cross-domain raise of deliver is captured onto domain 1's
+// continuation list (or enqueued for real when domain 1 is busy). A
+// rival thread raises process directly, forcing queue-not-empty
+// fallbacks on schedules where it gets ahead of the producer. Every
+// schedule must observe the exact generic delivery order and stats.
 func AsyncPipelineScenario() (Scenario, *AsyncPipelineCoverage) {
 	cov := &AsyncPipelineCoverage{}
 	g := profile.NewEventGraph()
@@ -487,7 +487,7 @@ func AsyncPipelineScenario() (Scenario, *AsyncPipelineCoverage) {
 // equivalence check deliberately ignores; the test asserts both
 // branches were exercised so the proof is not vacuous.
 type XDomainPipelineCoverage struct {
-	Handoffs  int64 // continuations captured into a target domain's slot
+	Handoffs  int64 // continuations captured onto another domain's list
 	Fallbacks int64 // cross-domain raises demoted to a real enqueue
 }
 
@@ -496,10 +496,10 @@ type XDomainPipelineCoverage struct {
 // relay (domain 1) ~> deliver (domain 0), chained through asynchronous
 // raises. The optimized variant installs an async-aware plan over the
 // whole pipeline, so both interior raises cross a domain edge: each is
-// captured into the target domain's handoff slot when that domain is
-// verifiably idle, and demoted to a real enqueue otherwise. A rival
-// thread raises relay directly, landing activations in domain 1's queue
-// so schedules exist where the handoff guard must refuse. Every
+// captured onto the target domain's continuation list when that
+// domain is verifiably idle, and demoted to a real enqueue otherwise. A
+// rival thread raises relay directly, landing activations in domain 1's
+// queue so schedules exist where the capture guard must refuse. Every
 // schedule must observe the exact generic delivery order and stats.
 func XDomainPipelineScenario() (Scenario, *XDomainPipelineCoverage) {
 	cov := &XDomainPipelineCoverage{}

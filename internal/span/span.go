@@ -45,9 +45,9 @@ const (
 	// KindDeadLetter is the dead-letter notification published after
 	// retries were exhausted.
 	KindDeadLetter
-	// KindHandoff is an async raise captured into another domain's
-	// cross-domain handoff slot: a continuation hop that crossed a
-	// domain boundary without a queue round-trip.
+	// KindHandoff is an async raise captured onto another domain's
+	// continuation list: a continuation hop that crossed a domain
+	// boundary without a queue round-trip.
 	KindHandoff
 
 	numKinds

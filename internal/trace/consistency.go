@@ -256,11 +256,10 @@ func (r *SchedRecorder) Reset() {
 //   - batch-count: a batched pop removes at least one activation (the
 //     drain loop never reports an empty batch).
 //   - continue-causality: on every domain, continuations run
-//     (SchedContinue) never outnumber continuations captured for it —
-//     same-domain coalesced raises (SchedCoalesce) plus cross-domain
-//     handoffs published into its slot (SchedHandoff, reported against
-//     the receiving domain). A speculatively merged async raise is
-//     consumed only after it was captured, whichever domain raised it.
+//     (SchedContinue) never outnumber continuations captured for it
+//     (SchedCoalesce, reported against the domain owning the event). A
+//     speculatively merged async raise is consumed only after it was
+//     captured, whichever domain raised it.
 func CheckSched(evs []SchedEvent) []Violation {
 	var out []Violation
 	fail := func(i int, e SchedEvent, rule, format string, args ...any) {
@@ -272,8 +271,7 @@ func CheckSched(evs []SchedEvent) []Violation {
 	live := make(map[event.ID]bool)        // install present (not removed)
 	enq := make(map[int]int)               // per-domain enqueue count
 	pop := make(map[int]int)               // per-domain pop count
-	coal := make(map[int]int)              // per-domain coalesced-capture count
-	hand := make(map[int]int)              // per-domain received cross-domain handoffs
+	coal := make(map[int]int)              // per-domain continuation-capture count
 	cont := make(map[int]int)              // per-domain continuation-run count
 
 	for i, e := range evs {
@@ -327,14 +325,12 @@ func CheckSched(evs []SchedEvent) []Violation {
 			}
 		case event.SchedCoalesce:
 			coal[e.Dom]++
-		case event.SchedHandoff:
-			hand[e.Dom]++
 		case event.SchedContinue:
 			cont[e.Dom]++
-			if cont[e.Dom] > coal[e.Dom]+hand[e.Dom] {
+			if cont[e.Dom] > coal[e.Dom] {
 				fail(i, e, "continue-causality",
-					"domain %d ran %d continuations but only %d were captured (%d coalesced + %d handoffs)",
-					e.Dom, cont[e.Dom], coal[e.Dom]+hand[e.Dom], coal[e.Dom], hand[e.Dom])
+					"domain %d ran %d continuations but only %d were captured",
+					e.Dom, cont[e.Dom], coal[e.Dom])
 			}
 		case event.SchedTimerFire:
 			// Timers are produced and consumed by the owning domain; no

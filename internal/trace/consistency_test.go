@@ -258,9 +258,9 @@ func TestCheckSchedBatchedCoalescedLog(t *testing.T) {
 }
 
 // TestCheckSchedHandoffLog: a cross-domain pipeline whose interior
-// raise is captured into the target domain's handoff slot produces a
-// log that passes every rule, and the log actually contains the
-// handoff/continue pair on the receiving domain.
+// raise is captured onto the target domain's continuation list produces
+// a log that passes every rule, and the log actually contains the
+// coalesce/continue pair on the receiving domain.
 func TestCheckSchedHandoffLog(t *testing.T) {
 	sr := NewSchedRecorder()
 	s := event.New(event.WithDomains(2), event.WithSchedHook(sr))
@@ -290,17 +290,17 @@ func TestCheckSchedHandoffLog(t *testing.T) {
 	if vs := CheckSched(log); len(vs) != 0 {
 		t.Fatalf("valid handoff log flagged: %v", vs)
 	}
-	var handoffs, continues int
+	var captures, continues int
 	for _, e := range log {
-		if e.Point == event.SchedHandoff && e.Dom == 1 {
-			handoffs++
+		if e.Point == event.SchedCoalesce && e.Dom == 1 {
+			captures++
 		}
 		if e.Point == event.SchedContinue && e.Dom == 1 {
 			continues++
 		}
 	}
-	if handoffs != 1 || continues != 1 {
-		t.Fatalf("handoff/continue pair missing on domain 1: handoffs=%d continues=%d log=%v", handoffs, continues, log)
+	if captures != 1 || continues != 1 {
+		t.Fatalf("coalesce/continue pair missing on domain 1: captures=%d continues=%d log=%v", captures, continues, log)
 	}
 }
 
@@ -349,12 +349,12 @@ func TestCheckSchedViolations(t *testing.T) {
 			{Point: event.SchedContinue, Dom: 0, Event: 4},
 		}, "continue-causality"},
 		{"continue overdraws handoffs", []SchedEvent{
-			{Point: event.SchedHandoff, Dom: 1, Event: 4, Ver: 1},
+			{Point: event.SchedCoalesce, Dom: 1, Event: 4, Ver: 1},
 			{Point: event.SchedContinue, Dom: 1, Event: 4},
 			{Point: event.SchedContinue, Dom: 1, Event: 4},
 		}, "continue-causality"},
 		{"handoff credits the receiving domain only", []SchedEvent{
-			{Point: event.SchedHandoff, Dom: 1, Event: 4, Ver: 1},
+			{Point: event.SchedCoalesce, Dom: 1, Event: 4, Ver: 1},
 			{Point: event.SchedContinue, Dom: 0, Event: 4},
 		}, "continue-causality"},
 	}
