@@ -333,15 +333,6 @@ func BenchmarkAblationFullFusion(b *testing.B) {
 	})
 }
 
-func BenchmarkAblationFullFusionCompiled(b *testing.B) {
-	runAblation(b, func(o *core.Options) bool {
-		o.FullFusion = true
-		o.Partitioned = false
-		o.CompileClosures = true
-		return true
-	})
-}
-
 func BenchmarkAblationSpeculative(b *testing.B) {
 	runAblation(b, func(o *core.Options) bool {
 		o.Speculative = true
@@ -416,8 +407,8 @@ func BenchmarkGraphBuilder(b *testing.B) {
 	}
 }
 
-// BenchmarkHIRInterp measures raw interpreter throughput on the merged
-// Adapt body workload shape.
+// BenchmarkHIRInterp measures raw throughput of the reference
+// interpreter (the test oracle) on the merged Adapt body workload shape.
 func BenchmarkHIRInterp(b *testing.B) {
 	hb := hir.NewBuilder("body", 0)
 	v := hb.Load("x")
@@ -446,7 +437,8 @@ func BenchmarkHIRInterp(b *testing.B) {
 	}
 }
 
-// BenchmarkHIRCompiled is the same workload through the closure compiler.
+// BenchmarkHIRCompiled is the same workload through the closure
+// compiler, the runtime's executor, with one reused frame.
 func BenchmarkHIRCompiled(b *testing.B) {
 	hb := hir.NewBuilder("body", 0)
 	v := hb.Load("x")
@@ -471,11 +463,11 @@ func BenchmarkHIRCompiled(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var scratch []hir.Value
+	frame := comp.NewFrame()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, scratch, _ = comp.Exec(scratch)
+		_, _ = comp.Run(frame)
 	}
 }
 

@@ -65,10 +65,8 @@ func codegenSeccomm() (generic, closure, generated *seccomm.Endpoint, err error)
 		switch tier {
 		case "generic":
 		case "closure":
-			opts := plan.Options()
-			opts.CompileClosures = true
 			for _, entry := range plan.Entries {
-				sh, err := core.BuildSuper(e.Sys, e.Mod, entry, opts)
+				sh, err := core.BuildSuper(e.Sys, e.Mod, entry, plan.Options())
 				if err != nil {
 					return nil, err
 				}
@@ -108,10 +106,8 @@ func codegenVideo() (generic, closure, generated *video.Player, err error) {
 		switch tier {
 		case "generic":
 		case "closure":
-			opts := plan.Options()
-			opts.CompileClosures = true
 			for _, entry := range plan.Entries {
-				sh, err := core.BuildSuper(p.Sender.Sys, p.Sender.Mod, entry, opts)
+				sh, err := core.BuildSuper(p.Sender.Sys, p.Sender.Mod, entry, plan.Options())
 				if err != nil {
 					return nil, err
 				}

@@ -70,10 +70,6 @@ type Options struct {
 	// handlers, or stay with per-segment fusion (guards re-checked at
 	// every nested dispatch).
 	FullFusion bool
-	// CompileClosures executes fused bodies through the HIR closure
-	// compiler instead of the interpreter: intrinsic references resolve
-	// at optimization time and instructions dispatch as direct calls.
-	CompileClosures bool
 	// Partitioned selects the extended super-handler organization of
 	// Fig. 14: per-event guards with per-event fallback.
 	Partitioned bool

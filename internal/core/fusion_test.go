@@ -17,11 +17,16 @@ import (
 //	      h_send — raise net(len = arg size + bindarg hdr) synchronously
 //	net:  h_count — sent = sent+1; bytes = bytes + arg len
 //
-// Returns the system, the module, and the push event id.
-func buildHIRPipeline(t *testing.T) (*event.System, *hirrt.Module, event.ID) {
+// Returns the system, the module, and the push event id. An oracle
+// pipeline runs its handlers through the reference interpreter.
+func buildHIRPipeline(t *testing.T, oracle bool) (*event.System, *hirrt.Module, event.ID) {
 	t.Helper()
 	sys := event.New()
 	mod := hirrt.NewModule(sys)
+	bind := mod.Bind
+	if oracle {
+		bind = mod.BindInterpreted
+	}
 	push := sys.Define("push")
 	net := sys.Define("net")
 
@@ -31,7 +36,7 @@ func buildHIRPipeline(t *testing.T) (*event.System, *hirrt.Module, event.ID) {
 	s2 := b1.Bin(hir.Add, s, one)
 	b1.Store("seq", s2)
 	b1.Return(hir.NoReg)
-	mod.Bind(push, "h_seq", b1.Fn(), event.WithOrder(1))
+	bind(push, "h_seq", b1.Fn(), event.WithOrder(1))
 
 	b2 := hir.NewBuilder("h_send", 0)
 	size := b2.Arg("size")
@@ -39,7 +44,7 @@ func buildHIRPipeline(t *testing.T) (*event.System, *hirrt.Module, event.ID) {
 	ln := b2.Bin(hir.Add, size, hdr)
 	b2.Raise("net", []string{"len"}, []hir.Reg{ln})
 	b2.Return(hir.NoReg)
-	mod.Bind(push, "h_send", b2.Fn(), event.WithOrder(2),
+	bind(push, "h_send", b2.Fn(), event.WithOrder(2),
 		event.WithBindArgs(event.A("hdr", 20)))
 
 	b3 := hir.NewBuilder("h_count", 0)
@@ -50,7 +55,7 @@ func buildHIRPipeline(t *testing.T) (*event.System, *hirrt.Module, event.ID) {
 	l := b3.Arg("len")
 	b3.Store("bytes", b3.Bin(hir.Add, bytes, l))
 	b3.Return(hir.NoReg)
-	mod.Bind(net, "h_count", b3.Fn())
+	bind(net, "h_count", b3.Fn())
 
 	return sys, mod, push
 }
@@ -86,14 +91,14 @@ func zeroCells(mod *hirrt.Module) {
 func fusionEquivalence(t *testing.T, opts Options) (*event.System, *hirrt.Module) {
 	t.Helper()
 	// Reference: a fresh system, cells zeroed, 13 pushes.
-	sysRef, modRef, pushRef := buildHIRPipeline(t)
+	sysRef, modRef, pushRef := buildHIRPipeline(t, true)
 	runPushWorkload(sysRef, pushRef, 1) // populate cells
 	zeroCells(modRef)
 	runPushWorkload(sysRef, pushRef, 13)
 	want := modRef.Globals.Snapshot()
 
 	// Optimized: profile, apply, zero cells, same 13 pushes.
-	sys, mod, push := buildHIRPipeline(t)
+	sys, mod, push := buildHIRPipeline(t, false)
 	prof := profileOf(t, sys, func() { runPushWorkload(sys, push, 40) })
 	plan, ins, err := Apply(sys, prof, mod, opts)
 	if err != nil {
@@ -152,7 +157,7 @@ func TestFullFusionEquivalenceAndStaticSubsumption(t *testing.T) {
 }
 
 func TestFusionFallsBackAfterRebind(t *testing.T) {
-	sys, mod, push := buildHIRPipeline(t)
+	sys, mod, push := buildHIRPipeline(t, false)
 	prof := profileOf(t, sys, func() { runPushWorkload(sys, push, 40) })
 	if _, _, err := Apply(sys, prof, mod, DefaultOptions()); err != nil {
 		t.Fatal(err)
@@ -178,7 +183,7 @@ func TestFusionFallsBackAfterRebind(t *testing.T) {
 }
 
 func TestMixedIRAndNativePreventsFullFusionButStillWorks(t *testing.T) {
-	sys, mod, push := buildHIRPipeline(t)
+	sys, mod, push := buildHIRPipeline(t, false)
 	// Add a native handler to net: its segment cannot fuse.
 	native := 0
 	sys.Bind(sys.Lookup("net"), "h_native", func(*event.Ctx) { native++ }, event.WithOrder(9))
@@ -212,8 +217,9 @@ func TestMixedIRAndNativePreventsFullFusionButStillWorks(t *testing.T) {
 }
 
 func TestFusedChainMatchesStepSequenceSemantics(t *testing.T) {
-	// The same workload under (a) no optimization, (b) steps-only merge,
-	// (c) per-segment fusion, (d) full fusion must leave identical state.
+	// The same workload under (a) no optimization on the reference
+	// interpreter, then compiled under (b) steps-only merge, (c)
+	// per-segment fusion, (d) full fusion must leave identical state.
 	variants := []struct {
 		name string
 		opts func() (Options, bool)
@@ -226,26 +232,14 @@ func TestFusedChainMatchesStepSequenceSemantics(t *testing.T) {
 			o.Partitioned = false
 			return o, false
 		}},
-		{"compiled", func() (Options, bool) {
-			o := DefaultOptions()
-			o.CompileClosures = true
-			return o, false
-		}},
-		{"full-fusion-compiled", func() (Options, bool) {
-			o := DefaultOptions()
-			o.FullFusion = true
-			o.Partitioned = false
-			o.CompileClosures = true
-			return o, false
-		}},
 	}
 
-	ref, refMod, refPush := buildHIRPipeline(t)
+	ref, refMod, refPush := buildHIRPipeline(t, true)
 	runPushWorkload(ref, refPush, 9)
 	want := refMod.Globals.Snapshot()
 
 	for _, v := range variants {
-		sys, mod, push := buildHIRPipeline(t)
+		sys, mod, push := buildHIRPipeline(t, false)
 		prof := profileOf(t, sys, func() { runPushWorkload(sys, push, 25) })
 		opts, _ := v.opts()
 		if _, _, err := Apply(sys, prof, mod, opts); err != nil {

@@ -92,19 +92,6 @@ func BuildSuper(sys *event.System, mod *hirrt.Module, entry PlanEntry, opts Opti
 	return buildSuper(sys, mod, entry, opts)
 }
 
-// fusedHandler picks the execution backend for a fused body: the closure
-// compiler when requested, otherwise the interpreter.
-func fusedHandler(mod *hirrt.Module, body *hir.Function, opts Options) (event.HandlerFunc, error) {
-	if opts.CompileClosures {
-		fn, err := mod.CompiledHandlerFunc(body)
-		if err != nil {
-			return nil, fmt.Errorf("compile fused body %s: %w", body.Name, err)
-		}
-		return fn, nil
-	}
-	return mod.HandlerFunc(body), nil
-}
-
 // buildSuper constructs the super-handler for one plan entry from the
 // system's current bindings.
 func buildSuper(sys *event.System, mod *hirrt.Module, entry PlanEntry, opts Options) (*event.SuperHandler, error) {
@@ -161,9 +148,9 @@ func buildSuper(sys *event.System, mod *hirrt.Module, entry PlanEntry, opts Opti
 			if err := body.Validate(); err != nil {
 				return nil, fmt.Errorf("fused chain body invalid: %w", err)
 			}
-			fused, err := fusedHandler(mod, body, opts)
+			fused, err := mod.HandlerFunc(body)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("compile fused body %s: %w", body.Name, err)
 			}
 			sh.Segments[0].Fused = fused
 			sh.Segments[0].FusedName = body.Name
@@ -183,9 +170,9 @@ func buildSuper(sys *event.System, mod *hirrt.Module, entry PlanEntry, opts Opti
 			if err := body.Validate(); err != nil {
 				return nil, fmt.Errorf("fused body for %s invalid: %w", name, err)
 			}
-			fused, err := fusedHandler(mod, body, opts)
+			fused, err := mod.HandlerFunc(body)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("compile fused body %s: %w", body.Name, err)
 			}
 			sh.Segments[i].Fused = fused
 			sh.Segments[i].FusedName = body.Name

@@ -48,9 +48,9 @@ type GeneratedSegment struct {
 // from: the per-segment handler-name check below rejects a drifted
 // system at install time, and the version guards catch rebinds that
 // happen after install (the fast path then falls back to generic
-// dispatch like any other stale super-handler). Like the closure
-// compiler, generated factories resolve intrinsics once at install, so
-// later WrapIntrinsic calls are not observed.
+// dispatch like any other stale super-handler). Generated factories
+// resolve intrinsics once at install, so unlike compiled HIR bodies they
+// do not observe later WrapIntrinsic calls.
 func InstallGenerated(sys *event.System, mod *hirrt.Module, supers []GeneratedSuper) (*Installed, error) {
 	if mod == nil {
 		return nil, fmt.Errorf("core: InstallGenerated: nil module")

@@ -20,7 +20,7 @@ const inlineArgs = 4
 // activation (including its retry decision) completes. Nothing may
 // retain a record or alias its argument storage across that release:
 // dispatch copies arguments into per-domain scratch before any handler
-// runs, retries clone into their timer entry, and dead-letter metadata
+// runs, retries copy into their timer entry, and dead-letter metadata
 // is built fresh — so a recycled record can never mutate under a reader.
 type activation struct {
 	ev      ID
@@ -51,6 +51,12 @@ type activation struct {
 	pspan uint64
 	skind uint8
 
+	argRecord
+}
+
+// argRecord holds the arguments of a queued activation or an armed
+// timer: inline up to inlineArgs, an owned clone beyond.
+type argRecord struct {
 	nargs   int
 	spilled bool
 	inline  [inlineArgs]Arg
@@ -59,33 +65,34 @@ type activation struct {
 
 // args returns the record's argument view. The slice aliases record
 // storage: callers must copy (or clone) before the record is released.
-func (a *activation) args() []Arg {
-	if a.spilled {
-		return a.spill
+func (r *argRecord) args() []Arg {
+	if r.spilled {
+		return r.spill
 	}
-	return a.inline[:a.nargs]
+	return r.inline[:r.nargs]
 }
 
 // setArgs copies the caller's arguments into the record: inline up to
 // inlineArgs, a fresh clone beyond. The incoming slice is never retained,
 // so callers' variadic slices stay on their stacks.
-func (a *activation) setArgs(args []Arg) {
-	a.nargs = len(args)
+func (r *argRecord) setArgs(args []Arg) {
+	r.nargs = len(args)
 	if len(args) <= inlineArgs {
-		copy(a.inline[:], args)
-		a.spilled = false
+		copy(r.inline[:], args)
+		r.spilled = false
 	} else {
-		a.spill = cloneArgs(args)
-		a.spilled = true
+		r.spill = cloneArgs(args)
+		r.spilled = true
 	}
 }
 
 // adoptArgs transfers ownership of an already-owned slice (a timer
-// entry's cloned arguments) into the record without copying.
-func (a *activation) adoptArgs(args []Arg) {
-	a.nargs = len(args)
-	a.spilled = true
-	a.spill = args
+// entry's spilled arguments, past inlineArgs) into the record without
+// copying.
+func (r *argRecord) adoptArgs(args []Arg) {
+	r.nargs = len(args)
+	r.spilled = true
+	r.spill = args
 }
 
 // actPool recycles activation records across all Systems. Get/Put are

@@ -303,6 +303,28 @@ func TestAllocRegression(t *testing.T) {
 		}
 	})
 
+	t.Run("RaiseAfterInlineArgs", func(t *testing.T) {
+		// A timer entry carries up to inlineArgs arguments inline, so
+		// arming one allocates only the entry, and its pop copies them
+		// into a pooled record instead of adopting a per-timer clone.
+		s := New(WithClock(NewVirtualClock()))
+		ev := s.Define("tick")
+		sink := 0
+		s.Bind(ev, "h", func(ctx *Ctx) { sink += ctx.Args.Int("n") })
+		four := []Arg{{Name: "n", Val: 7}, {Name: "s", Val: "x"}, {Name: "a", Val: 1}, {Name: "b", Val: true}}
+		s.RaiseAfter(10, ev, four...)
+		s.Drain()
+		if got := testing.AllocsPerRun(200, func() {
+			s.RaiseAfter(10, ev, four...)
+			s.Drain()
+		}); got != 1 {
+			t.Errorf("RaiseAfter with %d args + fire: %.1f allocs/op, want exactly 1 (the timer entry)", len(four), got)
+		}
+		if sink == 0 {
+			t.Fatal("timer never fired; the gate measured the wrong path")
+		}
+	})
+
 	t.Run("SpannedAsyncRaiseStep", func(t *testing.T) {
 		// Trace propagation through the queue rides the pooled activation
 		// record — the async budget stays at one object per activation.

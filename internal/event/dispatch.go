@@ -41,7 +41,7 @@ func (s *System) RaiseAsync(ev ID, args ...Arg) {
 // executions of the same activation under the retry policy; an
 // activation that recovered at least one handler panic is handed to the
 // retry machinery once the atomicity lock is released. The retry path
-// clones the record's arguments into its timer entry, so the release
+// copies the record's arguments into its timer entry, so the release
 // never exposes aliased storage.
 func (d *Domain) runTop(a *activation) {
 	var faults int

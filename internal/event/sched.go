@@ -101,8 +101,7 @@ type timerEntry struct {
 	at      Duration
 	seq     uint64
 	ev      ID
-	mode    Mode // mode the activation replays with (Delayed for RaiseAfter)
-	args    []Arg
+	mode    Mode    // mode the activation replays with (Delayed for RaiseAfter)
 	attempt int     // retry attempts already made (supervision layer)
 	fire    func()  // internal callback timer (quarantine re-admission)
 	owner   *Domain // for cancellation accounting; nil on internal timers
@@ -113,6 +112,23 @@ type timerEntry struct {
 	trace uint64
 	pspan uint64
 	skind uint8
+
+	// The deferred activation's arguments, inline up to inlineArgs as in
+	// an activation record, so arming a timer allocates only the entry.
+	argRecord
+}
+
+// moveArgs hands the entry's arguments to the activation record popped
+// for it: inline arguments are copied, a spill is adopted. The entry is
+// cleared either way, so a fired entry that a Timer handle keeps alive
+// pins no caller values.
+func (e *timerEntry) moveArgs(a *activation) {
+	if e.spilled {
+		a.adoptArgs(e.spill)
+	} else {
+		a.setArgs(e.inline[:e.nargs])
+	}
+	e.argRecord = argRecord{}
 }
 
 type timerHeap []*timerEntry
@@ -146,8 +162,9 @@ func (s *System) raiseAfterCtx(d Duration, ev ID, args []Arg, trace, pspan uint6
 	dom := s.domainOf(ev)
 	dom.qmu.Lock()
 	dom.tseq++
-	e := &timerEntry{at: s.clock.Now() + d, seq: dom.tseq, ev: ev, mode: Delayed, args: cloneArgs(args), owner: dom,
+	e := &timerEntry{at: s.clock.Now() + d, seq: dom.tseq, ev: ev, mode: Delayed, owner: dom,
 		trace: trace, pspan: pspan, skind: skind}
+	e.setArgs(args)
 	heap.Push(&dom.timers, e)
 	dom.qmu.Unlock()
 	dom.nudge()
@@ -162,8 +179,9 @@ func (s *System) raiseAfterCtx(d Duration, ev ID, args []Arg, trace, pspan uint6
 func (d *Domain) scheduleRetry(delay Duration, ev ID, mode Mode, args []Arg, attempt int, trace, pspan uint64, skind uint8) {
 	d.qmu.Lock()
 	d.tseq++
-	e := &timerEntry{at: d.sys.clock.Now() + delay, seq: d.tseq, ev: ev, mode: mode, args: cloneArgs(args), attempt: attempt,
+	e := &timerEntry{at: d.sys.clock.Now() + delay, seq: d.tseq, ev: ev, mode: mode, attempt: attempt,
 		trace: trace, pspan: pspan, skind: skind}
+	e.setArgs(args)
 	heap.Push(&d.timers, e)
 	d.qmu.Unlock()
 	d.nudge()
@@ -362,8 +380,9 @@ func (d *Domain) dueTimerLocked(now Duration) bool {
 
 // popDueTimerLocked pops the earliest timer at or past its deadline at
 // now and drains it into a pooled activation record (nil when no timer
-// is due). The entry's cloned argument slice transfers ownership, so the
-// pop reallocates nothing. Caller holds qmu.
+// is due). Inline arguments are copied into the record and a spilled
+// slice transfers ownership, so the pop reallocates nothing. Caller
+// holds qmu.
 func (d *Domain) popDueTimerLocked(now Duration) *activation {
 	// Same hoisted heap-top compare as dueTimerLocked: drains with no due
 	// timer skip the per-entry lock entirely.
@@ -381,8 +400,7 @@ func (d *Domain) popDueTimerLocked(now Duration) *activation {
 		a := d.sys.getAct()
 		a.ev, a.mode, a.attempt, a.fire = e.ev, e.mode, e.attempt, e.fire
 		a.trace, a.pspan, a.skind = e.trace, e.pspan, e.skind
-		a.adoptArgs(e.args)
-		e.args = nil
+		e.moveArgs(a)
 		if tel := d.sys.tel; tel != nil && a.fire == nil {
 			// A timer's queue delay is the time past its deadline.
 			tel.RecordQueueDelay(d.idx, int32(a.ev), int64(now-e.at))

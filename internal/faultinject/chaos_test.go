@@ -85,8 +85,8 @@ func runSeccommChaos(t *testing.T, seed int64, pushes int) chaosOutcome {
 		t.Fatal("optimization did not install a fast path on msgFromUser")
 	}
 
-	// Interpose injection after optimization: interpreted fused bodies
-	// resolve intrinsics through the module map at execution time, so the
+	// Interpose injection after optimization: compiled fused bodies read
+	// intrinsics through the module's per-name slots at call time, so the
 	// installed super-handler faults too.
 	inj := faultinject.New(seed)
 	inj.SetRate(0.01)

@@ -23,7 +23,7 @@ func TestCompileStraightLine(t *testing.T) {
 	if c.Name() != "f" || c.NumRegs() != fn.NumRegs {
 		t.Errorf("metadata: %s, %d", c.Name(), c.NumRegs())
 	}
-	got, _, err := c.Exec(nil)
+	got, err := c.Exec()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestCompileBranchesAndLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := comp.Exec(nil, IntVal(10))
+	got, err := comp.Exec(IntVal(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestCompileHaltSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := comp.Exec(nil); err != nil {
+	if _, err := comp.Exec(); err != nil {
 		t.Fatal(err)
 	}
 	if !halted || st.Get("before").Int() != 1 || !st.Get("after").Equal(None) {
@@ -113,7 +113,7 @@ func TestCompileHaltPropagatesThroughCallFn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := comp.Exec(nil); err != nil {
+	if _, err := comp.Exec(); err != nil {
 		t.Fatal(err)
 	}
 	if !st.Get("after").Equal(None) {
@@ -121,7 +121,7 @@ func TestCompileHaltPropagatesThroughCallFn(t *testing.T) {
 	}
 }
 
-func TestCompileRecursiveCallFallsBackToInterp(t *testing.T) {
+func TestCompileRecursiveCall(t *testing.T) {
 	// rec(n): if n > 0 { out += n; rec(n-1) }
 	rb := NewBuilder("rec", 1)
 	n := rb.Param(0)
@@ -147,7 +147,7 @@ func TestCompileRecursiveCallFallsBackToInterp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := comp.Exec(nil, IntVal(5)); err != nil {
+	if _, err := comp.Exec(IntVal(5)); err != nil {
 		t.Fatal(err)
 	}
 	if st.Get("out").Int() != 15 {
@@ -184,7 +184,7 @@ func TestCompileStepLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := comp.Exec(nil); !errors.Is(err, ErrStepLimit) {
+	if _, err := comp.Exec(); !errors.Is(err, ErrStepLimit) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -199,7 +199,7 @@ func TestCompileDivByZeroSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := comp.Exec(nil); !errors.Is(err, ErrDivByZero) {
+	if _, err := comp.Exec(); !errors.Is(err, ErrDivByZero) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -302,8 +302,7 @@ func TestQuickCompileMatchesInterp(t *testing.T) {
 			if err != nil {
 				return None, err
 			}
-			v, _, err := comp.Exec(nil)
-			return v, err
+			return comp.Exec()
 		})
 
 		if iok != cok {
@@ -335,5 +334,58 @@ func TestQuickCompileMatchesInterp(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestCompileCallDepthAndStepBudget(t *testing.T) {
+	// loop(): loop() — unbounded recursion hits the call-depth limit on
+	// both executors.
+	lb := NewBuilder("loop", 0)
+	lb.CallFn("loop")
+	lb.Return(NoReg)
+	loop := lb.Fn()
+	env := &Env{Funcs: map[string]*Function{"loop": loop}}
+	if _, err := Exec(loop, env); !errors.Is(err, errCallDepth) {
+		t.Errorf("interpreter: err = %v, want the call-depth error", err)
+	}
+	comp, err := Compile(loop, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := comp.Exec(); !errors.Is(err, errCallDepth) {
+		t.Errorf("compiled: err = %v, want the call-depth error", err)
+	}
+
+	// Env.MaxSteps bounds compiled execution as it bounds the interpreter.
+	sb := NewBuilder("spin", 0)
+	sb.Jump(Entry)
+	comp, err = Compile(sb.Fn(), &Env{MaxSteps: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := comp.NewFrame()
+	for i := 0; i < 2; i++ { // the budget resets on every Run
+		if _, err := comp.Run(frame); !errors.Is(err, ErrStepLimit) {
+			t.Errorf("run %d: err = %v, want ErrStepLimit", i, err)
+		}
+	}
+}
+
+func TestCompileIntrinsicSlots(t *testing.T) {
+	b := NewBuilder("f", 0)
+	x := b.Int(4)
+	b.Return(b.Call("late", x, x, x))
+	slot := &IntrinsicSlot{}
+	comp, err := Compile(b.Fn(), &Env{IntrinsicSlot: func(string) *IntrinsicSlot { return slot }})
+	if err != nil {
+		t.Fatalf("a slot-resolving environment must compile unregistered intrinsics: %v", err)
+	}
+	frame := comp.NewFrame()
+	if _, err := comp.Run(frame); !errors.Is(err, ErrNoIntrinsic) {
+		t.Errorf("empty slot: err = %v, want ErrNoIntrinsic", err)
+	}
+	slot.Fn = func(a []Value) Value { return IntVal(a[0].Int() + a[1].Int() + a[2].Int()) }
+	if got, err := comp.Run(frame); err != nil || got.Int() != 12 {
+		t.Errorf("filled slot: %v, %v; want 12", got, err)
 	}
 }

@@ -13,9 +13,20 @@ type NamedValue struct {
 
 // Intrinsic is a host function callable from HIR. Pure intrinsics may be
 // subject to common-subexpression elimination and dead-code elimination.
+// The args slice is valid only during the call: compiled code passes a
+// window of its frame that the next call site overwrites, so an
+// intrinsic that keeps arguments must copy them.
 type Intrinsic struct {
 	Fn   func(args []Value) Value
 	Pure bool
+}
+
+// IntrinsicSlot is a late-bound reference to one named intrinsic.
+// Compiled OpCall sites read Fn at every call, so a host that hands out
+// slots (Env.IntrinsicSlot) can register or wrap intrinsics after
+// compiling. A nil Fn means the name is not registered.
+type IntrinsicSlot struct {
+	Fn func(args []Value) Value
 }
 
 // Env supplies everything an HIR execution needs from its host. Any nil
@@ -30,9 +41,15 @@ type Env struct {
 	Globals *State
 	// Intrinsics resolves OpCall targets.
 	Intrinsics map[string]Intrinsic
+	// IntrinsicSlot, when set, resolves compiled OpCall targets instead
+	// of Intrinsics: Compile takes one slot per call site, and a slot
+	// still empty at call time fails with ErrNoIntrinsic, as the
+	// interpreter does. The interpreter always reads Intrinsics.
+	IntrinsicSlot func(name string) *IntrinsicSlot
 	// Funcs resolves OpCallFn targets.
 	Funcs map[string]*Function
-	// Raise performs an event activation (OpRaise).
+	// Raise performs an event activation (OpRaise). Like intrinsic
+	// arguments, args is valid only during the call.
 	Raise func(eventName string, async bool, delay int64, args []NamedValue)
 	// Halt stops the remaining handlers of the current event (OpHalt).
 	Halt func()
@@ -55,6 +72,8 @@ var (
 
 // Exec interprets fn under env with the given positional parameters and
 // returns the function result (None for functions that return nothing).
+// The interpreter is the reference semantics of HIR: the runtime executes
+// bodies through Compile, and tests and fuzzers check it against Exec.
 func Exec(fn *Function, env *Env, params ...Value) (Value, error) {
 	v, _, err := ExecReuse(fn, env, nil, params...)
 	return v, err
@@ -62,17 +81,9 @@ func Exec(fn *Function, env *Env, params ...Value) (Value, error) {
 
 // ExecReuse is Exec with a caller-supplied register scratch buffer: when
 // scratch has sufficient capacity the register file is carved from it
-// instead of allocated, which matters on hot dispatch paths. It returns
-// the (possibly grown) scratch for the next call. The buffer must not be
-// shared across concurrent executions.
+// instead of allocated. It returns the (possibly grown) scratch for the
+// next call. The buffer must not be shared across concurrent executions.
 func ExecReuse(fn *Function, env *Env, scratch []Value, params ...Value) (Value, []Value, error) {
-	v, _, scratch, err := execReuseHalt(fn, env, scratch, params)
-	return v, scratch, err
-}
-
-// execReuseHalt is ExecReuse distinguishing halting from plain return,
-// for callers (compiled CallFn sites) that must propagate a halt.
-func execReuseHalt(fn *Function, env *Env, scratch []Value, params []Value) (Value, bool, []Value, error) {
 	budget := env.MaxSteps
 	if budget <= 0 {
 		budget = defaultMaxSteps
@@ -87,9 +98,9 @@ func execReuseHalt(fn *Function, env *Env, scratch []Value, params []Value) (Val
 	v, err := exec(fn, env, params, regs, &budget, 0)
 	if errors.Is(err, ErrHalted) {
 		// OpHalt terminates the function normally after notifying the host.
-		return v, true, scratch, nil
+		return v, scratch, nil
 	}
-	return v, false, scratch, err
+	return v, scratch, err
 }
 
 func exec(fn *Function, env *Env, params []Value, regs []Value, budget *int, depth int) (Value, error) {

@@ -7,8 +7,9 @@ import (
 
 // Intrinsic returns the registered intrinsic for name. Generated
 // (evgen) super-handler factories resolve their intrinsics through
-// this accessor once at install time; like closure-compiled bodies,
-// generated code therefore does not observe later WrapIntrinsic calls.
+// this accessor once at install time, so unlike compiled HIR bodies
+// (which read the module's per-name slots at call time), generated code
+// does not observe later WrapIntrinsic calls.
 func (m *Module) Intrinsic(name string) (hir.Intrinsic, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

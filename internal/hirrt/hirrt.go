@@ -64,6 +64,7 @@ type Module struct {
 
 	mu         sync.Mutex
 	intrinsics map[string]hir.Intrinsic
+	slots      map[string]*hir.IntrinsicSlot // compiled call sites' late-bound view of intrinsics
 	funcs      map[string]*hir.Function
 	evCache    map[string]event.ID
 }
@@ -74,6 +75,7 @@ func NewModule(sys *event.System) *Module {
 		Sys:        sys,
 		Globals:    hir.NewState(),
 		intrinsics: make(map[string]hir.Intrinsic),
+		slots:      make(map[string]*hir.IntrinsicSlot),
 		funcs:      make(map[string]*hir.Function),
 		evCache:    make(map[string]event.ID),
 	}
@@ -84,10 +86,34 @@ func NewModule(sys *event.System) *Module {
 func (m *Module) RegisterIntrinsic(name string, pure bool, fn func(args []hir.Value) hir.Value) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.intrinsics[name] = hir.Intrinsic{Fn: fn, Pure: pure}
+	m.setIntrinsicLocked(name, hir.Intrinsic{Fn: fn, Pure: pure})
 }
 
-// RegisterFunc exposes an HIR helper function (OpCallFn target).
+// setIntrinsicLocked updates the intrinsic table and the name's slot, if
+// compiled code holds one. Caller holds mu.
+func (m *Module) setIntrinsicLocked(name string, in hir.Intrinsic) {
+	m.intrinsics[name] = in
+	if s, ok := m.slots[name]; ok {
+		s.Fn = in.Fn
+	}
+}
+
+// intrinsicSlot returns the slot compiled call sites read name through,
+// creating it (empty when name is not registered yet) on first use.
+func (m *Module) intrinsicSlot(name string) *hir.IntrinsicSlot {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s, ok := m.slots[name]
+	if !ok {
+		s = &hir.IntrinsicSlot{Fn: m.intrinsics[name].Fn}
+		m.slots[name] = s
+	}
+	return s
+}
+
+// RegisterFunc exposes an HIR helper function (OpCallFn target). Bodies
+// that call it compile against it when they are bound, so register
+// helpers before binding their callers.
 func (m *Module) RegisterFunc(fn *hir.Function) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -95,12 +121,12 @@ func (m *Module) RegisterFunc(fn *hir.Function) {
 }
 
 // WrapIntrinsic replaces a registered intrinsic with wrap(old), reporting
-// whether the name existed. Interpreter-executed handlers (including
-// fused bodies already installed) observe the wrapper immediately, since
-// they resolve intrinsics through the module map at execution time;
-// closure-compiled bodies resolve at compile time, so wrap before
-// optimizing when those must be covered. The fault-injection harness
-// uses this to interpose panic/error injection on intrinsic call sites.
+// whether the name existed. Every HIR handler of the module, including
+// fused bodies already installed, observes the wrapper at its next call:
+// compiled call sites read the intrinsic through the module's per-name
+// slot at call time. Generated (evgen) code resolves once at install and
+// does not. The fault-injection harness uses this to interpose
+// panic/error injection on intrinsic call sites.
 func (m *Module) WrapIntrinsic(name string, wrap func(hir.Intrinsic) hir.Intrinsic) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -108,7 +134,7 @@ func (m *Module) WrapIntrinsic(name string, wrap func(hir.Intrinsic) hir.Intrins
 	if !ok {
 		return false
 	}
-	m.intrinsics[name] = wrap(in)
+	m.setIntrinsicLocked(name, wrap(in))
 	return true
 }
 
@@ -179,9 +205,10 @@ func (m *Module) newEnv() (*hir.Env, func(*event.Ctx) *event.Ctx) {
 			}
 			return ToValue(v), true
 		},
-		Globals:    m.Globals,
-		Intrinsics: m.intrinsics,
-		Funcs:      m.funcs,
+		Globals:       m.Globals,
+		Intrinsics:    m.intrinsics,
+		IntrinsicSlot: m.intrinsicSlot,
+		Funcs:         m.funcs,
 		Raise: func(name string, async bool, delay int64, args []hir.NamedValue) {
 			id, ok := raiseIDs[name]
 			if !ok {
@@ -217,15 +244,39 @@ func (m *Module) newEnv() (*hir.Env, func(*event.Ctx) *event.Ctx) {
 	}
 }
 
-// HandlerFunc adapts an HIR body into an event handler. The environment
-// and register file are reused across activations (handler execution is
-// serialized by the runtime's atomicity lock), so steady-state dispatch
-// does not allocate. Execution errors (which indicate bugs in the
-// handler code, such as division by zero) panic, matching how a native
+// HandlerFunc compiles an HIR body (hir.Compile) into an event handler.
+// Intrinsics late-bind through the module's slots, so intrinsics
+// registered or wrapped after compiling are seen; helper functions
+// (RegisterFunc) must exist at compile time. The environment and one
+// execution frame per live nesting depth are reused across activations
+// (handler execution is serialized by the runtime's atomicity lock), so
+// steady-state dispatch does not allocate. Execution errors (which
+// indicate bugs in the handler code, such as division by zero or an
+// intrinsic that was never registered) panic, matching how a native
 // handler bug would surface.
-func (m *Module) HandlerFunc(body *hir.Function) event.HandlerFunc {
+func (m *Module) HandlerFunc(body *hir.Function) (event.HandlerFunc, error) {
 	env, setCtx := m.newEnv()
-	var scratch [][]hir.Value // one register file per live nesting depth
+	comp, err := hir.Compile(body, env)
+	if err != nil {
+		return nil, err
+	}
+	var frames []*hir.Frame // one frame per live nesting depth
+	return activate(body.Name, setCtx, func(d int) error {
+		if d == len(frames) {
+			// First activation at this depth: the reentrant frame is
+			// allocated once and reused by every later reentry.
+			frames = append(frames, comp.NewFrame())
+		}
+		_, err := comp.Run(frames[d])
+		return err
+	}), nil
+}
+
+// activate adapts run, an executor keeping one reusable state per live
+// nesting depth, into an event handler: it points the environment at the
+// activation's context, runs at the current depth, and panics on an
+// execution error.
+func activate(name string, setCtx func(*event.Ctx) *event.Ctx, run func(depth int) error) event.HandlerFunc {
 	depth := 0
 	return func(ctx *event.Ctx) {
 		d := depth
@@ -239,55 +290,21 @@ func (m *Module) HandlerFunc(body *hir.Function) event.HandlerFunc {
 			setCtx(oldCtx)
 			depth = d
 		}()
-		if d == len(scratch) {
-			// First activation at this depth: the reentrant register file
-			// is allocated once and reused by every later reentry.
-			scratch = append(scratch, nil)
-		}
-		var err error
-		_, scratch[d], err = hir.ExecReuse(body, env, scratch[d])
-		if err != nil {
-			panic(fmt.Sprintf("hirrt: handler %s: %v", body.Name, err))
+		if err := run(d); err != nil {
+			panic(fmt.Sprintf("hirrt: handler %s: %v", name, err))
 		}
 	}
-}
-
-// CompiledHandlerFunc adapts an HIR body through the closure compiler
-// (hir.Compile): intrinsics resolve at compile time and execution runs
-// through direct closure calls instead of the interpreter's switch. Like
-// HandlerFunc, the environment and register file are reused across
-// activations. Compilation fails fast on unresolved intrinsics or
-// helper functions.
-func (m *Module) CompiledHandlerFunc(body *hir.Function) (event.HandlerFunc, error) {
-	env, setCtx := m.newEnv()
-	comp, err := hir.Compile(body, env)
-	if err != nil {
-		return nil, err
-	}
-	var scratch [][]hir.Value // one register file per live nesting depth
-	depth := 0
-	return func(ctx *event.Ctx) {
-		d := depth
-		depth++
-		oldCtx := setCtx(ctx)
-		defer func() { // panic-safe restore, as in HandlerFunc
-			setCtx(oldCtx)
-			depth = d
-		}()
-		if d == len(scratch) {
-			scratch = append(scratch, nil)
-		}
-		var err error
-		_, scratch[d], err = comp.Exec(scratch[d])
-		if err != nil {
-			panic(fmt.Sprintf("hirrt: compiled handler %s: %v", body.Name, err))
-		}
-	}, nil
 }
 
 // Bind attaches an HIR handler to an event, recording the IR body on the
-// binding so the optimizer can merge and fuse it later.
+// binding so the optimizer can merge and fuse it later. A body that does
+// not compile (a helper function that is not registered) is still bound;
+// its activations panic with the compile error, as an interpreted body
+// would fail when it reached the missing call.
 func (m *Module) Bind(ev event.ID, name string, body *hir.Function, opts ...event.BindOption) event.Binding {
-	opts = append(opts, event.WithIR(body))
-	return m.Sys.Bind(ev, name, m.HandlerFunc(body), opts...)
+	fn, err := m.HandlerFunc(body)
+	if err != nil {
+		fn = func(*event.Ctx) { panic(fmt.Sprintf("hirrt: handler %s: %v", body.Name, err)) }
+	}
+	return m.Sys.Bind(ev, name, fn, append(opts, event.WithIR(body))...)
 }

@@ -1,6 +1,8 @@
 package hirrt
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"eventopt/internal/event"
@@ -209,25 +211,62 @@ func TestCompiledHandlerFunc(t *testing.T) {
 	v := b.Call("bump", n)
 	b.Store("out", v)
 	b.Return(hir.NoReg)
-	fn, err := mod.CompiledHandlerFunc(b.Fn())
+	fn, err := mod.HandlerFunc(b.Fn())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys.Bind(ev, "h", fn)
-	for i := 0; i < 3; i++ { // exercise the scratch reuse path
+	for i := 0; i < 3; i++ { // exercise the frame reuse path
 		sys.Raise(ev, event.A("n", 10+i))
 	}
 	if got := mod.Globals.Get("out").Int(); got != 13 {
 		t.Errorf("out = %d", got)
 	}
 
-	// Compilation fails fast on a missing intrinsic.
-	bad := hir.NewBuilder("bad", 0)
-	x := bad.Int(1)
-	bad.Call("nothere", x)
-	bad.Return(hir.NoReg)
-	if _, err := mod.CompiledHandlerFunc(bad.Fn()); err == nil {
-		t.Error("missing intrinsic compiled")
+	// Compilation fails fast on a missing helper function.
+	badFn := hir.NewBuilder("badfn", 0)
+	badFn.CallFn("nowhere")
+	badFn.Return(hir.NoReg)
+	if _, err := mod.HandlerFunc(badFn.Fn()); !errors.Is(err, hir.ErrNoFunc) {
+		t.Errorf("missing helper: err = %v", err)
+	}
+}
+
+// TestCompiledIntrinsicsLateBind pins the slot contract: a compiled body
+// sees intrinsics registered after it was compiled and wrappers
+// installed after it ran, and a call to an intrinsic that is still
+// missing panics with ErrNoIntrinsic, as the interpreter fails.
+func TestCompiledIntrinsicsLateBind(t *testing.T) {
+	sys := event.New()
+	mod := NewModule(sys)
+	ev := sys.Define("E")
+	b := hir.NewBuilder("h", 0)
+	n := b.Arg("n")
+	b.Store("out", b.Call("later", n))
+	b.Return(hir.NoReg)
+	mod.Bind(ev, "h", b.Fn())
+
+	func() {
+		defer func() {
+			r := recover()
+			if s, _ := r.(string); !strings.Contains(s, hir.ErrNoIntrinsic.Error()) {
+				t.Errorf("missing intrinsic: recovered %v, want an ErrNoIntrinsic panic", r)
+			}
+		}()
+		sys.Raise(ev, event.A("n", 1))
+	}()
+
+	mod.RegisterIntrinsic("later", true, func(a []hir.Value) hir.Value { return hir.IntVal(a[0].Int() * 10) })
+	sys.Raise(ev, event.A("n", 2))
+	if got := mod.Globals.Get("out").Int(); got != 20 {
+		t.Errorf("after registering: out = %d, want 20", got)
+	}
+	mod.WrapIntrinsic("later", func(in hir.Intrinsic) hir.Intrinsic {
+		return hir.Intrinsic{Pure: in.Pure, Fn: func(a []hir.Value) hir.Value { return hir.IntVal(in.Fn(a).Int() + 1) }}
+	})
+	sys.Raise(ev, event.A("n", 3))
+	if got := mod.Globals.Get("out").Int(); got != 31 {
+		t.Errorf("after wrapping: out = %d, want 31", got)
 	}
 }
 
@@ -252,7 +291,7 @@ func TestCompiledHandlerReentrancy(t *testing.T) {
 	b.Jump(done)
 	b.SetBlock(done)
 	b.Return(hir.NoReg)
-	fn, err := mod.CompiledHandlerFunc(b.Fn())
+	fn, err := mod.HandlerFunc(b.Fn())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,5 +299,43 @@ func TestCompiledHandlerReentrancy(t *testing.T) {
 	sys.Raise(ev, event.A("depth", 5)) // the handler re-enters itself
 	if got := mod.Globals.Get("count").Int(); got != 5 {
 		t.Errorf("count = %d", got)
+	}
+}
+
+// TestCompiledIntrinsicReentrancy raises, from inside an intrinsic, an
+// event handled by the same compiled body. The nested activation runs in
+// a deeper frame, so the outer call's argument window must come back
+// intact, and the outer body must finish with its own registers.
+func TestCompiledIntrinsicReentrancy(t *testing.T) {
+	sys := event.New()
+	mod := NewModule(sys)
+	ev := sys.Define("E")
+	var cur *event.Ctx // the activation the intrinsic raises from
+	sys.Bind(ev, "note", func(ctx *event.Ctx) { cur = ctx }, event.WithOrder(0))
+
+	mod.RegisterIntrinsic("reenter", false, func(a []hir.Value) hir.Value {
+		want := append([]hir.Value(nil), a...)
+		if d := a[0].Int(); d > 0 {
+			cur.Raise(ev, event.A("d", d-1))
+		}
+		for i := range a {
+			if !a[i].Equal(want[i]) {
+				t.Errorf("depth %d: argument %d = %v after the nested activation, want %v", want[0].Int(), i, a[i], want[i])
+			}
+		}
+		return hir.IntVal(a[0].Int() + a[1].Int() + a[2].Int())
+	})
+	// E(d): sum += reenter(d, 10*d, d+100) + d
+	b := hir.NewBuilder("h", 0)
+	d := b.Arg("d")
+	r := b.Call("reenter", d, b.Bin(hir.Mul, d, b.Int(10)), b.Bin(hir.Add, d, b.Int(100)))
+	b.Store("sum", b.Bin(hir.Add, b.Load("sum"), b.Bin(hir.Add, r, d)))
+	b.Return(hir.NoReg)
+	mod.Bind(ev, "h", b.Fn(), event.WithOrder(1))
+
+	sys.Raise(ev, event.A("d", 3))
+	// Each depth d in 0..3 adds d + 10d + d+100 + d = 13d + 100.
+	if got, want := mod.Globals.Get("sum").Int(), int64(13*(0+1+2+3)+4*100); got != want {
+		t.Errorf("sum = %d, want %d", got, want)
 	}
 }
