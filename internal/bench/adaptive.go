@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 
 	"eventopt/internal/adaptive"
 	"eventopt/internal/core"
@@ -20,45 +18,6 @@ import (
 // baseline must NOT be within it, or the workload isn't discriminating
 // and the comparison is vacuous.
 const AdaptiveGatePct = 15.0
-
-// AdaptivePhaseResult is one phase (one hot family) of the rotation.
-type AdaptivePhaseResult struct {
-	Phase      int     `json:"phase"`
-	HotFamily  string  `json:"hot_family"`
-	BaselineNs float64 `json:"baseline_ns_per_raise"`
-	AdaptiveNs float64 `json:"adaptive_ns_per_raise"`
-	StaticNs   float64 `json:"static_ns_per_raise"`
-	// AdaptiveVsStaticPct is (adaptive/static - 1)*100: how far adaptive
-	// steady state is from the statically-optimized oracle.
-	AdaptiveVsStaticPct float64 `json:"adaptive_vs_static_pct"`
-	BaselineVsStaticPct float64 `json:"baseline_vs_static_pct"`
-	Converged           bool    `json:"converged"`
-}
-
-// AdaptiveReport is the serializable result of RunAdaptive (uploaded by
-// CI as BENCH_adaptive.json).
-type AdaptiveReport struct {
-	CPUs       int                   `json:"cpus"`
-	Ops        int                   `json:"ops"`
-	GatePct    float64               `json:"gate_pct"`
-	Phases     []AdaptivePhaseResult `json:"phases"`
-	Promotions int64                 `json:"promotions"`
-	Demotions  int64                 `json:"demotions"`
-	// PhaseShifts counts the controller's hot-set-rotation detections.
-	// Not every rotation registers as one: if the old entry's EWMA decays
-	// below the demote threshold before the new entry crosses the promote
-	// threshold, the ordinary hysteresis path handles the swap instead.
-	PhaseShifts int64  `json:"phase_shifts"`
-	Ticks       uint64 `json:"ticks"`
-	Pass        bool   `json:"pass"`
-}
-
-// WriteJSON serializes the report (indented, trailing newline).
-func (r *AdaptiveReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
 
 // family is one event family of the phased workload: a head event with
 // several handlers whose last synchronously raises a tail event.
@@ -96,7 +55,23 @@ func adaptiveTelemetry() telemetry.Config {
 	return telemetry.Config{SampleEvery: 1, TimeSampleEvery: 64}
 }
 
-// RunAdaptive measures the closed-loop optimizer against the paper's
+// adaptivePhases is the number of hot-set rotations a sample runs.
+const adaptivePhases = 3
+
+// adaptiveBounds are the adaptive gate's bounds: after every rotation
+// the adaptive steady state is within AdaptiveGatePct of the static
+// oracle, and the unoptimized baseline is not.
+func adaptiveBounds() []Bound {
+	var bs []Bound
+	for p := 0; p < adaptivePhases; p++ {
+		bs = append(bs,
+			atMost(fmt.Sprintf("phase%d.adaptive_vs_static_pct", p), AdaptiveGatePct),
+			above(fmt.Sprintf("phase%d.baseline_vs_static_pct", p), AdaptiveGatePct))
+	}
+	return bs
+}
+
+// sampleAdaptive measures the closed-loop optimizer against the paper's
 // offline workflow on a phased workload whose hot event family rotates
 // mid-run. Three identical systems run the same phases:
 //
@@ -107,47 +82,9 @@ func adaptiveTelemetry() telemetry.Config {
 //   - adaptive: starts unoptimized; a controller ticks between warmup
 //     batches and must discover each phase's hot family online.
 //
-// After each rotation the adaptive steady state must converge to within
-// AdaptiveGatePct of the static oracle while the baseline stays
-// measurably slower; noisy attempts are retried like the other gates.
-func RunAdaptive(w io.Writer, ops int) (*AdaptiveReport, error) {
-	rep := &AdaptiveReport{CPUs: runtime.NumCPU(), Ops: ops, GatePct: AdaptiveGatePct}
-	header(w, "Adaptive optimizer convergence (phased workload, hot set rotates)")
-
-	const attempts = 3
-	for try := 0; try < attempts; try++ {
-		r, err := runAdaptiveOnce(ops)
-		if err != nil {
-			return rep, err
-		}
-		r.CPUs, r.Ops, r.GatePct = rep.CPUs, rep.Ops, rep.GatePct
-		if try == 0 || r.Pass {
-			*rep = *r
-		}
-		if rep.Pass {
-			break
-		}
-	}
-
-	fmt.Fprintf(w, "%-8s %-8s %14s %14s %14s %10s\n",
-		"Phase", "Hot", "baseline", "adaptive", "static", "adp/static")
-	for _, p := range rep.Phases {
-		fmt.Fprintf(w, "%-8d %-8s %12.1fns %12.1fns %12.1fns %+9.1f%%\n",
-			p.Phase, p.HotFamily, p.BaselineNs, p.AdaptiveNs, p.StaticNs, p.AdaptiveVsStaticPct)
-	}
-	fmt.Fprintf(w, "controller: %d promotions, %d demotions, %d phase shifts over %d ticks\n",
-		rep.Promotions, rep.Demotions, rep.PhaseShifts, rep.Ticks)
-	fmt.Fprintf(w, "gate: adaptive within %.0f%% of static after every rotation, baseline outside it\n",
-		rep.GatePct)
-	if !rep.Pass {
-		return rep, fmt.Errorf("adaptive convergence gate failed: %+v", rep.Phases)
-	}
-	return rep, nil
-}
-
-func runAdaptiveOnce(ops int) (*AdaptiveReport, error) {
-	rep := &AdaptiveReport{GatePct: AdaptiveGatePct}
-
+// A phase whose hot family the controller never promotes fails the
+// sample outright.
+func sampleAdaptive(w io.Writer, ops int) (Metrics, error) {
 	baseSys := event.New(event.WithTelemetry(adaptiveTelemetry()))
 	baseFams := adaptiveWorkload(baseSys)
 
@@ -188,13 +125,17 @@ func runAdaptiveOnce(ops int) (*AdaptiveReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer ctl.Close()
 
 	const (
-		phases    = 3
 		warmBatch = 2000
 		warmTicks = 6
 	)
-	for p := 0; p < phases; p++ {
+	header(w, "Adaptive optimizer convergence (phased workload, hot set rotates)")
+	fmt.Fprintf(w, "%-8s %-8s %14s %14s %14s %10s\n",
+		"Phase", "Hot", "baseline", "adaptive", "static", "adp/static")
+	m := Metrics{}
+	for p := 0; p < adaptivePhases; p++ {
 		hot := p % len(adapFams)
 
 		// Warm the phase: identical traffic on all three systems; the
@@ -226,31 +167,22 @@ func runAdaptiveOnce(ops int) (*AdaptiveReport, error) {
 			func() { _ = adapSys.Raise(aEv) })
 		dBase := measure(ops, func() { _ = baseSys.Raise(bEv) })
 
-		pr := AdaptivePhaseResult{
-			Phase:      p,
-			HotFamily:  adapFams[hot].name,
-			BaselineNs: float64(dBase.Nanoseconds()),
-			AdaptiveNs: float64(dAdap.Nanoseconds()),
-			StaticNs:   float64(dStat.Nanoseconds()),
-		}
-		pr.AdaptiveVsStaticPct = 100 * (pr.AdaptiveNs - pr.StaticNs) / pr.StaticNs
-		pr.BaselineVsStaticPct = 100 * (pr.BaselineNs - pr.StaticNs) / pr.StaticNs
-		pr.Converged = pr.AdaptiveVsStaticPct <= AdaptiveGatePct &&
-			pr.BaselineVsStaticPct > AdaptiveGatePct
-		rep.Phases = append(rep.Phases, pr)
+		key := fmt.Sprintf("phase%d.", p)
+		m[key+"baseline_ns"], m[key+"adaptive_ns"], m[key+"static_ns"] = ns(dBase), ns(dAdap), ns(dStat)
+		m[key+"adaptive_vs_static_pct"] = overPct(ns(dAdap), ns(dStat))
+		m[key+"baseline_vs_static_pct"] = overPct(ns(dBase), ns(dStat))
+		fmt.Fprintf(w, "%-8d %-8s %12.1fns %12.1fns %12.1fns %+9.1f%%\n",
+			p, adapFams[hot].name, ns(dBase), ns(dAdap), ns(dStat), m[key+"adaptive_vs_static_pct"])
 	}
 
 	snap := ctl.Snapshot()
-	rep.Promotions = snap.Promotions
-	rep.Demotions = snap.Demotions
-	rep.PhaseShifts = snap.PhaseShifts
-	rep.Ticks = snap.Tick
-	rep.Pass = true
-	for _, p := range rep.Phases {
-		if !p.Converged {
-			rep.Pass = false
-		}
-	}
-	ctl.Close()
-	return rep, nil
+	m["promotions"], m["demotions"] = float64(snap.Promotions), float64(snap.Demotions)
+	m["phase_shifts"], m["ticks"] = float64(snap.PhaseShifts), float64(snap.Tick)
+	// Not every rotation registers as a phase shift: if the old entry's
+	// EWMA decays below the demote threshold before the new entry
+	// crosses the promote threshold, the ordinary hysteresis path
+	// handles the swap instead.
+	fmt.Fprintf(w, "controller: %d promotions, %d demotions, %d phase shifts over %d ticks\n",
+		snap.Promotions, snap.Demotions, snap.PhaseShifts, snap.Tick)
+	return m, nil
 }

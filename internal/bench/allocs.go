@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -12,37 +11,13 @@ import (
 	"eventopt/internal/trace"
 )
 
-// AllocRow is one line of the hot-path allocation table: a steady-state
-// dispatch scenario with its measured allocations and time per raise.
-type AllocRow struct {
-	Scenario    string  `json:"scenario"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	Budget      float64 `json:"budget_allocs_per_op"` // gate: AllocsPerOp must not exceed it
-}
-
-// AllocReport is the serializable result of RunAllocs (uploaded by CI as
-// BENCH_allocs.json).
-type AllocReport struct {
-	CPUs int        `json:"cpus"`
-	Ops  int        `json:"ops_per_scenario"`
-	Rows []AllocRow `json:"rows"`
-}
-
-// WriteJSON serializes the report (indented, trailing newline).
-func (r *AllocReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 var allocSink int
 
-// allocScenario is one measured dispatch configuration.
+// allocScenario is one measured dispatch configuration. Its allocation
+// budget is the allocs gate's bound on <name>.allocs_per_op.
 type allocScenario struct {
-	name   string
-	budget float64
-	op     func() // one steady-state raise (system prebuilt, args hoisted)
+	name string
+	op   func() // one steady-state raise (system prebuilt, args hoisted)
 }
 
 // allocScenarios builds the measured systems. Argument slices are hoisted
@@ -79,22 +54,21 @@ func allocScenarios() []allocScenario {
 	traced.SetTracer(trace.NewRecorder())
 
 	return []allocScenario{
-		{"sync-generic", 0, func() { _ = generic.Raise(gev, args...) }},
-		{"sync-fastpath", 0, func() { _ = fast.Raise(fev, args...) }},
-		{"async-raise+step", 1, func() { async.RaiseAsync(aev, args...); async.Step() }},
-		{"traced-sync", 0.5, func() { _ = traced.Raise(tev, args...) }},
+		{"sync-generic", func() { _ = generic.Raise(gev, args...) }},
+		{"sync-fastpath", func() { _ = fast.Raise(fev, args...) }},
+		{"async-raise+step", func() { async.RaiseAsync(aev, args...); async.Step() }},
+		{"traced-sync", func() { _ = traced.Raise(tev, args...) }},
 	}
 }
 
-// RunAllocs measures allocations and time per raise on the hot dispatch
-// paths and fails if any scenario exceeds its allocation budget — the
-// same gate TestAllocRegression applies in the test suite, reproduced
-// here so CI archives the measured numbers next to the throughput report.
-func RunAllocs(w io.Writer, ops int) (*AllocReport, error) {
-	rep := &AllocReport{CPUs: runtime.NumCPU(), Ops: ops}
+// sampleAllocs measures allocations and time per raise on the hot
+// dispatch paths: the same budgets TestAllocRegression applies in the
+// test suite, measured here so CI archives the numbers next to the
+// throughput report.
+func sampleAllocs(w io.Writer, ops int) (Metrics, error) {
 	header(w, "Hot-path allocations (steady state, args hoisted)")
-	fmt.Fprintf(w, "%-18s %12s %12s %8s\n", "Scenario", "allocs/op", "ns/op", "budget")
-	var exceeded []string
+	fmt.Fprintf(w, "%-18s %12s %12s\n", "Scenario", "allocs/op", "ns/op")
+	m := Metrics{}
 	for _, sc := range allocScenarios() {
 		sc.op() // warm pools, scratch slots, trace chunks
 		allocs := testing.AllocsPerRun(ops, sc.op)
@@ -103,16 +77,9 @@ func RunAllocs(w io.Writer, ops int) (*AllocReport, error) {
 		for i := 0; i < ops; i++ {
 			sc.op()
 		}
-		ns := float64(time.Since(t0).Nanoseconds()) / float64(ops)
-		row := AllocRow{Scenario: sc.name, AllocsPerOp: allocs, NsPerOp: ns, Budget: sc.budget}
-		rep.Rows = append(rep.Rows, row)
-		fmt.Fprintf(w, "%-18s %12.2f %12.1f %8.1f\n", row.Scenario, row.AllocsPerOp, row.NsPerOp, row.Budget)
-		if allocs > sc.budget {
-			exceeded = append(exceeded, fmt.Sprintf("%s: %.2f allocs/op > budget %.1f", sc.name, allocs, sc.budget))
-		}
+		perOp := float64(time.Since(t0).Nanoseconds()) / float64(ops)
+		m[sc.name+".allocs_per_op"], m[sc.name+".ns_per_op"] = allocs, perOp
+		fmt.Fprintf(w, "%-18s %12.2f %12.1f\n", sc.name, allocs, perOp)
 	}
-	if len(exceeded) > 0 {
-		return rep, fmt.Errorf("allocation budget exceeded: %v", exceeded)
-	}
-	return rep, nil
+	return m, nil
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -12,47 +11,13 @@ import (
 	"eventopt/internal/event"
 )
 
-// BatchRow is one line of the batched-drain throughput table: the same
-// asynchronous workload driven through D domains' run loops, once with
-// the historical one-activation-per-acquisition drain and once with
-// batched drains (up to BatchK pops per queue-lock acquisition, registry
-// resolution hoisted across the batch).
-type BatchRow struct {
-	Domains      int     `json:"domains"`
-	UnbatchedEPS float64 `json:"unbatched_events_per_sec"`
-	BatchedEPS   float64 `json:"batched_events_per_sec"`
-	Speedup      float64 `json:"speedup"` // batched / unbatched
-}
-
-// BatchReport is the serializable result of RunBatch (uploaded by CI as
-// BENCH_batch.json). Alongside the drain-throughput rows it carries the
-// single-domain pipeline comparison: an async head~>tail chain run
-// through the generic enqueue-per-raise route versus the async-merged
-// super-handler whose interior raise coalesces into a continuation.
-type BatchReport struct {
-	CPUs        int        `json:"cpus"`
-	EventsPer   int        `json:"events_per_row"`
-	BatchK      int        `json:"batch_k"`
-	Rows        []BatchRow `json:"rows"`
-	PipelineOps int        `json:"pipeline_ops"`
-	UnmergedNs  float64    `json:"pipeline_unmerged_ns_per_op"`
-	MergedNs    float64    `json:"pipeline_merged_ns_per_op"`
-	PipelineX   float64    `json:"pipeline_speedup"` // unmerged / merged
-	GateSpeedup float64    `json:"gate_speedup"`
-	Pass        bool       `json:"pass"`
-}
-
-// WriteJSON serializes the report (indented, trailing newline).
-func (r *BatchReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // BatchGateSpeedup is the CI budget: at eight domains the batched drain
 // must move the backlog at least this much faster than the unbatched
 // loop, and the async-merged pipeline must not lose to enqueue-per-raise.
 const BatchGateSpeedup = 1.2
+
+// batchK is the drain batch size the batched arm pins.
+const batchK = 64
 
 // batchWork is the handler spin of the drain benchmark: light enough
 // that per-activation scheduling overhead — the thing batching removes —
@@ -100,6 +65,7 @@ func batchEventsPerSec(domains, k, total int) float64 {
 		}(evs[d])
 	}
 	wg.Wait()
+	runtime.GC()
 
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -112,19 +78,6 @@ func batchEventsPerSec(domains, k, total int) float64 {
 	close(stop)
 	<-done
 	return float64(goal) / elapsed.Seconds()
-}
-
-// bestBatchEPS returns the best of three timed runs (after a warm-up).
-func bestBatchEPS(domains, k, total int) float64 {
-	batchEventsPerSec(domains, k, total/4+1) // warm-up
-	best := 0.0
-	for i := 0; i < 3; i++ {
-		runtime.GC()
-		if r := batchEventsPerSec(domains, k, total); r > best {
-			best = r
-		}
-	}
-	return best
 }
 
 // pipelineOp builds the two-stage async pipeline head ~> tail on one
@@ -160,81 +113,40 @@ func pipelineOp(merged bool) (func(), *event.System) {
 	}, s
 }
 
-// RunBatch measures the batched-drain and async-chain-merging layer: the
-// drain-throughput table at 1/2/4/8 domains (unbatched vs batch K), and
-// the single-domain pipeline where the merged chain's interior raise
-// coalesces. The eight-domain speedup and the pipeline comparison gate
-// the run; loaded CI machines get a few attempts and the best one
-// counts.
-func RunBatch(w io.Writer, events int) (*BatchReport, error) {
-	const batchK = 64
-	rep := &BatchReport{
-		CPUs: runtime.NumCPU(), EventsPer: events, BatchK: batchK,
-		GateSpeedup: BatchGateSpeedup,
-	}
-	header(w, fmt.Sprintf("Batched ring drains (K=%d, handler spin %d, %d CPUs)", batchK, batchWork, rep.CPUs))
+// sampleBatch measures the batched-drain and async-chain-merging layer:
+// the drain-throughput table at 1/2/4/8 domains (unbatched vs batch K),
+// and the single-domain pipeline where the merged chain's interior raise
+// coalesces. The batch gate bounds the eight-domain speedup and the
+// pipeline comparison; a merged pipeline that never coalesces fails the
+// sample outright.
+func sampleBatch(w io.Writer, events int) (Metrics, error) {
+	m := Metrics{}
+	header(w, fmt.Sprintf("Batched ring drains (K=%d, handler spin %d, %d CPUs)", batchK, batchWork, runtime.NumCPU()))
 	fmt.Fprintf(w, "%-8s %16s %16s %9s\n", "Domains", "Unbatched ev/s", "Batched ev/s", "Speedup")
 	for _, d := range []int{1, 2, 4, 8} {
-		row := BatchRow{Domains: d}
-		attempts := 1
-		if d == 8 {
-			attempts = 4 // the gated row gets retries against machine load
-		}
-		for try := 0; try < attempts; try++ {
-			un := bestBatchEPS(d, 1, events)
-			ba := bestBatchEPS(d, batchK, events)
-			sp := 0.0
-			if un > 0 {
-				sp = ba / un
-			}
-			if sp > row.Speedup {
-				row.UnbatchedEPS, row.BatchedEPS, row.Speedup = un, ba, sp
-			}
-			if row.Speedup >= BatchGateSpeedup {
-				break
-			}
-		}
-		rep.Rows = append(rep.Rows, row)
-		fmt.Fprintf(w, "%-8d %16.0f %16.0f %8.2fx\n",
-			row.Domains, row.UnbatchedEPS, row.BatchedEPS, row.Speedup)
+		un := batchEventsPerSec(d, 1, events)
+		ba := batchEventsPerSec(d, batchK, events)
+		key := fmt.Sprintf("d%d.", d)
+		m[key+"unbatched_eps"], m[key+"batched_eps"], m[key+"speedup"] = un, ba, ba/un
+		fmt.Fprintf(w, "%-8d %16.0f %16.0f %8.2fx\n", d, un, ba, ba/un)
 	}
 
 	pops := events / 10
 	if pops < 1000 {
 		pops = 1000
 	}
-	rep.PipelineOps = pops
+	unm, _ := pipelineOp(false)
+	mrg, ms := pipelineOp(true)
+	dUn, dMg := measurePair(pops, unm, mrg)
+	if st := ms.StatsAggregate(); st.Coalesced == 0 {
+		return m, fmt.Errorf("merged pipeline never coalesced a raise")
+	}
+	m["pipeline_unmerged_ns"], m["pipeline_merged_ns"] = ns(dUn), ns(dMg)
+	m["pipeline_speedup"] = ns(dUn) / ns(dMg)
 	header(w, "Async chain merging (head ~> tail pipeline, 1 domain)")
-	for try := 0; try < 4; try++ {
-		unm, _ := pipelineOp(false)
-		mrg, ms := pipelineOp(true)
-		dUn, dMg := measurePair(pops, unm, mrg)
-		x := 0.0
-		if dMg > 0 {
-			x = float64(dUn) / float64(dMg)
-		}
-		if x > rep.PipelineX {
-			rep.UnmergedNs = float64(dUn.Nanoseconds())
-			rep.MergedNs = float64(dMg.Nanoseconds())
-			rep.PipelineX = x
-		}
-		if st := ms.StatsAggregate(); st.Coalesced == 0 {
-			return rep, fmt.Errorf("merged pipeline never coalesced a raise")
-		}
-		if rep.PipelineX >= 1.0 {
-			break
-		}
-	}
 	fmt.Fprintf(w, "%-16s %12s\n", "Variant", "ns/op")
-	fmt.Fprintf(w, "%-16s %12.1f\n", "enqueue-per-raise", rep.UnmergedNs)
-	fmt.Fprintf(w, "%-16s %12.1f\n", "async-merged", rep.MergedNs)
-	fmt.Fprintf(w, "pipeline speedup: %.2fx\n", rep.PipelineX)
-
-	gate8 := rep.Rows[len(rep.Rows)-1].Speedup
-	rep.Pass = gate8 >= BatchGateSpeedup && rep.PipelineX >= 1.0
-	if !rep.Pass {
-		return rep, fmt.Errorf("batch gate failed: 8-domain speedup %.2fx (want >= %.2fx), pipeline %.2fx (want >= 1.00x)",
-			gate8, BatchGateSpeedup, rep.PipelineX)
-	}
-	return rep, nil
+	fmt.Fprintf(w, "%-16s %12.1f\n", "enqueue-per-raise", m["pipeline_unmerged_ns"])
+	fmt.Fprintf(w, "%-16s %12.1f\n", "async-merged", m["pipeline_merged_ns"])
+	fmt.Fprintf(w, "pipeline speedup: %.2fx\n", m["pipeline_speedup"])
+	return m, nil
 }

@@ -1,55 +1,6 @@
 package bench
 
-import (
-	"bytes"
-	"encoding/json"
-	"strings"
-	"testing"
-)
-
-func TestRunBatchReportShape(t *testing.T) {
-	var out bytes.Buffer
-	rep, err := RunBatch(&out, 20000)
-	if rep == nil {
-		t.Fatalf("RunBatch returned no report (err %v)", err)
-	}
-	if err != nil {
-		// The speedup gates are calibrated for the CI runner; on an
-		// arbitrary loaded machine only the report shape is asserted.
-		t.Logf("gate (tolerated in unit test): %v", err)
-	}
-	if len(rep.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rep.Rows))
-	}
-	wantDomains := []int{1, 2, 4, 8}
-	for i, row := range rep.Rows {
-		if row.Domains != wantDomains[i] {
-			t.Errorf("row %d domains = %d, want %d", i, row.Domains, wantDomains[i])
-		}
-		if row.UnbatchedEPS <= 0 || row.BatchedEPS <= 0 || row.Speedup <= 0 {
-			t.Errorf("row %d throughput not positive: %+v", i, row)
-		}
-	}
-	if rep.UnmergedNs <= 0 || rep.MergedNs <= 0 || rep.PipelineX <= 0 {
-		t.Errorf("pipeline comparison not measured: %+v", rep)
-	}
-	if !strings.Contains(out.String(), "Batched ring drains") ||
-		!strings.Contains(out.String(), "Async chain merging") {
-		t.Error("table headers missing from output")
-	}
-
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	var back BatchReport
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("report JSON does not round-trip: %v", err)
-	}
-	if len(back.Rows) != len(rep.Rows) || back.BatchK != rep.BatchK {
-		t.Errorf("round-trip mismatch: %+v vs %+v", back, rep)
-	}
-}
+import "testing"
 
 func TestBatchPipeWorkloadCoalesces(t *testing.T) {
 	entries, s, err := BatchPipeWorkload(4)

@@ -98,7 +98,7 @@ func ratio(orig, opt time.Duration) string {
 	if orig <= 0 {
 		return "-"
 	}
-	return fmt.Sprintf("%.1f", 100*float64(opt)/float64(orig))
+	return fmt.Sprintf("%.1f", pctOf(orig, opt))
 }
 
 // header prints a table title and rule.

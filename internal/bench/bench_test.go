@@ -232,7 +232,7 @@ func TestRunOverheadPositive(t *testing.T) {
 
 func TestRunCodeSize(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunCodeSize(&buf); err != nil {
+	if _, err := RunCodeSize(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

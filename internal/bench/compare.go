@@ -6,17 +6,18 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 )
 
-// CompareReports reads two bench report JSON files (any of the
-// BENCH_*.json shapes — the comparison is schema-agnostic) and prints a
-// benchstat-style per-gate delta table: every numeric field present in
-// either report, with old value, new value and relative change. Boolean
-// gates (pass flags) print as transitions. Returns an error only when a
-// file cannot be read or parsed; a regressed gate is the reader's call,
-// not this function's.
+// CompareReports reads two sets of gate reports, each a BENCH_<gate>.json
+// file or a directory of them as paperbench -out writes, and prints a
+// benchstat-style delta table keyed gate.metric: old median, new median
+// and relative change. Pass flags, of each bound (gate.metric.pass) and
+// of the whole gate (gate.pass), print as transitions. Returns an error
+// only when a report cannot be read or parsed; a regressed gate is the
+// reader's call, not this function's.
 func CompareReports(w io.Writer, oldPath, newPath string) error {
 	oldVals, err := loadReportValues(oldPath)
 	if err != nil {
@@ -40,84 +41,83 @@ func CompareReports(w io.Writer, oldPath, newPath string) error {
 	}
 	sort.Strings(names)
 
-	fmt.Fprintf(w, "%-44s %16s %16s %10s\n", "gate", "old", "new", "delta")
+	fmt.Fprintf(w, "%-44s %16s %16s %14s\n", "gate.metric", "old", "new", "delta")
 	for _, name := range names {
 		ov, haveOld := oldVals[name]
 		nv, haveNew := newVals[name]
 		switch {
 		case !haveOld:
-			fmt.Fprintf(w, "%-44s %16s %16s %10s\n", name, "-", formatVal(nv), "added")
+			fmt.Fprintf(w, "%-44s %16s %16s %14s\n", name, "-", formatVal(nv), "added")
 		case !haveNew:
-			fmt.Fprintf(w, "%-44s %16s %16s %10s\n", name, formatVal(ov), "-", "removed")
+			fmt.Fprintf(w, "%-44s %16s %16s %14s\n", name, formatVal(ov), "-", "removed")
 		default:
-			fmt.Fprintf(w, "%-44s %16s %16s %10s\n",
+			fmt.Fprintf(w, "%-44s %16s %16s %14s\n",
 				name, formatVal(ov), formatVal(nv), formatDelta(ov, nv))
 		}
 	}
 	return nil
 }
 
-// loadReportValues flattens a report file into dotted-path numeric and
-// boolean leaves ("rows.2.speedup", "pass"). Strings are skipped: they
-// are labels, not gates.
-func loadReportValues(path string) (map[string]float64, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("bench: compare: %w", err)
+// loadReportValues flattens the reports at path into gate.metric
+// medians (float64) and pass flags (bool).
+func loadReportValues(path string) (map[string]any, error) {
+	files := []string{path}
+	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
+		if files, err = filepath.Glob(filepath.Join(path, "BENCH_*.json")); err != nil {
+			return nil, fmt.Errorf("bench: compare: %w", err)
+		}
 	}
-	var doc any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, fmt.Errorf("bench: compare: %s: %w", path, err)
+	vals := make(map[string]any)
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			return nil, fmt.Errorf("bench: compare: %w", err)
+		}
+		var rep Report
+		if err := json.Unmarshal(raw, &rep); err != nil {
+			return nil, fmt.Errorf("bench: compare: %s: %w", f, err)
+		}
+		if rep.Gate == "" {
+			return nil, fmt.Errorf("bench: compare: %s: not a gate report", f)
+		}
+		for k, st := range rep.Metrics {
+			vals[rep.Gate+"."+k] = st.Median
+		}
+		for _, b := range rep.Bounds {
+			vals[rep.Gate+"."+b.Metric+".pass"] = b.Pass
+		}
+		vals[rep.Gate+".pass"] = rep.Pass
 	}
-	vals := make(map[string]float64)
-	flattenReport("", doc, vals)
 	return vals, nil
 }
 
-func flattenReport(prefix string, v any, out map[string]float64) {
+func formatVal(v any) string {
 	switch t := v.(type) {
-	case map[string]any:
-		for k, sub := range t {
-			flattenReport(joinPath(prefix, k), sub, out)
-		}
-	case []any:
-		for i, sub := range t {
-			flattenReport(joinPath(prefix, strconv.Itoa(i)), sub, out)
-		}
-	case float64:
-		out[prefix] = t
 	case bool:
-		if t {
-			out[prefix] = 1
-		} else {
-			out[prefix] = 0
+		return strconv.FormatBool(t)
+	case float64:
+		if t == math.Trunc(t) && math.Abs(t) < 1e15 {
+			return strconv.FormatFloat(t, 'f', 0, 64)
 		}
+		return strconv.FormatFloat(t, 'f', 2, 64)
 	}
+	return fmt.Sprint(v)
 }
 
-func joinPath(prefix, key string) string {
-	if prefix == "" {
-		return key
-	}
-	return prefix + "." + key
-}
-
-func formatVal(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return strconv.FormatFloat(v, 'f', 0, 64)
-	}
-	return strconv.FormatFloat(v, 'f', 2, 64)
-}
-
-// formatDelta renders the relative change new-vs-old the way benchstat
-// does: a signed percentage, with ~ for no change and new/old shown
-// outright when the base is zero.
-func formatDelta(oldV, newV float64) string {
+// formatDelta renders the change new-vs-old the way benchstat does: a
+// signed percentage, with ~ for no change and new/old shown outright
+// when the base is zero. A pass flag that flips prints as a transition.
+func formatDelta(oldV, newV any) string {
 	if oldV == newV {
 		return "~"
 	}
-	if oldV == 0 {
-		return fmt.Sprintf("=%s", formatVal(newV))
+	o, okOld := oldV.(float64)
+	n, okNew := newV.(float64)
+	switch {
+	case !okOld || !okNew:
+		return formatVal(oldV) + " → " + formatVal(newV)
+	case o == 0:
+		return "=" + formatVal(n)
 	}
-	return fmt.Sprintf("%+.1f%%", 100*(newV-oldV)/oldV)
+	return fmt.Sprintf("%+.1f%%", 100*(n-o)/o)
 }

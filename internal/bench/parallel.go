@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -11,35 +10,6 @@ import (
 
 	"eventopt/internal/event"
 )
-
-// ParallelRow is one line of the multi-domain throughput table: the same
-// raise workload driven by G goroutines against D event domains, once
-// with every event pinned to domain 0 (contended: one atomicity lock
-// serializes everything, the historical single-mutex runtime) and once
-// with events spread over all domains by affinity (sharded).
-type ParallelRow struct {
-	Domains      int     `json:"domains"`
-	Goroutines   int     `json:"goroutines"`
-	ContendedRPS float64 `json:"contended_raises_per_sec"`
-	ShardedRPS   float64 `json:"sharded_raises_per_sec"`
-	Speedup      float64 `json:"speedup"` // sharded / contended
-}
-
-// ParallelReport is the serializable result of RunParallel (uploaded by
-// CI as BENCH_parallel.json).
-type ParallelReport struct {
-	CPUs           int           `json:"cpus"`
-	WorkPerHandler int           `json:"work_per_handler"`
-	RaisesPerRow   int           `json:"raises_per_row"`
-	Rows           []ParallelRow `json:"rows"`
-}
-
-// WriteJSON serializes the report (indented, trailing newline).
-func (r *ParallelReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
 
 // parallelWork is the spin count of the benchmark handler: enough real
 // work (~a few hundred ns) that throughput is handler-bound, as in a real
@@ -111,37 +81,24 @@ func raisesPerSec(s *event.System, evs []event.ID, total int) float64 {
 	return best
 }
 
-// RunParallel measures multi-domain dispatch throughput: raises/sec at
-// 1, 2, 4 and 8 domains, with all events contending on one domain versus
-// sharded across all of them. raises is the per-row raise count (split
-// over the goroutines). The goroutine count of every row equals the
-// domain count, so contended vs sharded isolates lock sharding from
+// sampleParallel measures multi-domain dispatch throughput: raises/sec
+// at 1, 2, 4 and 8 domains, with all events contending on one domain
+// versus sharded across all of them. raises is the per-row raise count
+// (split over the goroutines). The goroutine count of every row equals
+// the domain count, so contended vs sharded isolates lock sharding from
 // offered parallelism.
-func RunParallel(w io.Writer, raises int) (*ParallelReport, error) {
-	rep := &ParallelReport{
-		CPUs:           runtime.NumCPU(),
-		WorkPerHandler: parallelWork,
-		RaisesPerRow:   raises,
-	}
-	header(w, fmt.Sprintf("Parallel dispatch throughput (handler spin %d, %d CPUs)", parallelWork, rep.CPUs))
+func sampleParallel(w io.Writer, raises int) (Metrics, error) {
+	header(w, fmt.Sprintf("Parallel dispatch throughput (handler spin %d, %d CPUs)", parallelWork, runtime.NumCPU()))
 	fmt.Fprintf(w, "%-8s %-11s %14s %14s %9s\n", "Domains", "Goroutines", "Contended r/s", "Sharded r/s", "Speedup")
+	m := Metrics{}
 	for _, d := range []int{1, 2, 4, 8} {
 		sc, evc := parallelSystem(d, d, true)
 		contended := raisesPerSec(sc, evc, raises)
 		ss, evss := parallelSystem(d, d, false)
 		sharded := raisesPerSec(ss, evss, raises)
-		row := ParallelRow{
-			Domains:      d,
-			Goroutines:   d,
-			ContendedRPS: contended,
-			ShardedRPS:   sharded,
-		}
-		if contended > 0 {
-			row.Speedup = sharded / contended
-		}
-		rep.Rows = append(rep.Rows, row)
-		fmt.Fprintf(w, "%-8d %-11d %14.0f %14.0f %8.2fx\n",
-			row.Domains, row.Goroutines, row.ContendedRPS, row.ShardedRPS, row.Speedup)
+		key := fmt.Sprintf("d%d.", d)
+		m[key+"contended_rps"], m[key+"sharded_rps"], m[key+"speedup"] = contended, sharded, sharded/contended
+		fmt.Fprintf(w, "%-8d %-11d %14.0f %14.0f %8.2fx\n", d, d, contended, sharded, sharded/contended)
 	}
-	return rep, nil
+	return m, nil
 }

@@ -1,39 +1,13 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 
 	"eventopt/internal/event"
 	"eventopt/internal/span"
 	"eventopt/internal/telemetry"
 )
-
-// SpansReport is the serializable result of RunSpans (uploaded by CI as
-// BENCH_spans.json). It records the sync-raise latency with the
-// observability stack off, with telemetry only, and with telemetry plus
-// span tracing at the default head-sampling rates.
-type SpansReport struct {
-	CPUs        int     `json:"cpus"`
-	Ops         int     `json:"ops"`
-	SampleEvery int     `json:"sample_every"`
-	OffNs       float64 `json:"off_ns_per_raise"`
-	TelemetryNs float64 `json:"telemetry_ns_per_raise"`
-	SpansNs     float64 `json:"spans_ns_per_raise"`
-	DeltaPct    float64 `json:"delta_pct"`    // telemetry+spans vs telemetry (gated)
-	CombinedPct float64 `json:"combined_pct"` // telemetry+spans vs off (informational)
-	GatePct     float64 `json:"gate_pct"`
-	Pass        bool    `json:"pass"`
-}
-
-// WriteJSON serializes the report (indented, trailing newline).
-func (r *SpansReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
 
 // SpansGatePct is the CI budget: span tracing stacked on the telemetry
 // layer may not slow the sync raise path by more than this percentage
@@ -69,45 +43,29 @@ func spanSystems() (off, tel, spans func()) {
 		func() { _ = both.Raise(bev, args...) }
 }
 
-// RunSpans measures the latency cost of span tracing stacked on the
-// telemetry layer and fails when the increment over the telemetry-only
-// baseline exceeds SpansGatePct on the sync raise path. Measurement
-// discipline follows RunTelemetry: alternating minimum-of-passes pairs
-// cancel drift, and a failing comparison is retried with the best
-// attempt reported.
-func RunSpans(w io.Writer, ops int) (*SpansReport, error) {
-	rep := &SpansReport{CPUs: runtime.NumCPU(), Ops: ops, SampleEvery: span.DefaultSampleEvery, GatePct: SpansGatePct}
+// sampleSpans measures the latency cost of span tracing stacked on the
+// telemetry layer; the spans gate bounds delta_pct, the increment over
+// the telemetry-only baseline, by SpansGatePct. combined_pct, the cost
+// over bare dispatch, is informational. Measurement follows
+// sampleTelemetry: alternating minimum-of-passes pairs cancel drift.
+func sampleSpans(w io.Writer, ops int) (Metrics, error) {
+	off, tel, spans := spanSystems()
+	dTel, dSpans := measurePair(ops, tel, spans)
+	dOff, _ := measurePair(ops, off, tel)
+	m := Metrics{
+		"sample_every": span.DefaultSampleEvery,
+		"off_ns":       ns(dOff),
+		"telemetry_ns": ns(dTel),
+		"spans_ns":     ns(dSpans),
+		"delta_pct":    overPct(ns(dSpans), ns(dTel)),
+		"combined_pct": overPct(ns(dSpans), ns(dOff)),
+	}
+
 	header(w, "Span tracing overhead (sync raise, telemetry + sampled spans)")
-
-	const attempts = 5
-	best := false
-	for try := 0; try < attempts; try++ {
-		off, tel, spans := spanSystems()
-		dTel, dSpans := measurePair(ops, tel, spans)
-		dOff, _ := measurePair(ops, off, tel)
-		delta := 100 * (float64(dSpans) - float64(dTel)) / float64(dTel)
-		if !best || delta < rep.DeltaPct {
-			rep.OffNs = float64(dOff.Nanoseconds())
-			rep.TelemetryNs = float64(dTel.Nanoseconds())
-			rep.SpansNs = float64(dSpans.Nanoseconds())
-			rep.DeltaPct = delta
-			rep.CombinedPct = 100 * (float64(dSpans) - float64(dOff)) / float64(dOff)
-			best = true
-		}
-		if rep.DeltaPct <= SpansGatePct {
-			break
-		}
-	}
-	rep.Pass = rep.DeltaPct <= SpansGatePct
-
 	fmt.Fprintf(w, "%-20s %12s\n", "Variant", "ns/raise")
-	fmt.Fprintf(w, "%-20s %12.1f\n", "observability off", rep.OffNs)
-	fmt.Fprintf(w, "%-20s %12.1f\n", "telemetry only", rep.TelemetryNs)
-	fmt.Fprintf(w, "%-20s %12.1f\n", "telemetry+spans", rep.SpansNs)
-	fmt.Fprintf(w, "overhead: %+.1f%% over telemetry (gate %.0f%%), %+.1f%% over bare\n",
-		rep.DeltaPct, rep.GatePct, rep.CombinedPct)
-	if !rep.Pass {
-		return rep, fmt.Errorf("span tracing overhead %.1f%% exceeds the %.0f%% gate", rep.DeltaPct, rep.GatePct)
-	}
-	return rep, nil
+	fmt.Fprintf(w, "%-20s %12.1f\n", "observability off", m["off_ns"])
+	fmt.Fprintf(w, "%-20s %12.1f\n", "telemetry only", m["telemetry_ns"])
+	fmt.Fprintf(w, "%-20s %12.1f\n", "telemetry+spans", m["spans_ns"])
+	fmt.Fprintf(w, "overhead: %+.1f%% over telemetry, %+.1f%% over bare\n", m["delta_pct"], m["combined_pct"])
+	return m, nil
 }

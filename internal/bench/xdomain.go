@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -23,47 +22,6 @@ const XDomainGateSpeedup = 1.15
 // backlog phase shift the controller-tuned drain must come within this
 // percentage of the best statically-pinned batch size.
 const XDomainAdaptivePct = 15.0
-
-// KTuneRow is one statically-pinned point of the batch-size sweep.
-type KTuneRow struct {
-	K   int     `json:"k"`
-	EPS float64 `json:"events_per_sec"`
-}
-
-// XDomainReport is the serializable result of RunXDomain (uploaded by
-// CI as BENCH_xdomain.json): the merged-vs-enqueue pipeline comparison,
-// the adaptive-vs-static batch-size sweep, and the sync-raise
-// allocation check with coalescing enabled.
-type XDomainReport struct {
-	CPUs        int     `json:"cpus"`
-	Hops        int     `json:"pipeline_hops"`
-	PipelineOps int     `json:"pipeline_ops"`
-	UnmergedNs  float64 `json:"pipeline_unmerged_ns_per_op"`
-	MergedNs    float64 `json:"pipeline_merged_ns_per_op"`
-	PipelineX   float64 `json:"pipeline_speedup"` // unmerged / merged
-	GateSpeedup float64 `json:"gate_speedup"`
-
-	StaticRows    []KTuneRow `json:"static_rows"`
-	BestStaticK   int        `json:"best_static_k"`
-	BestStaticEPS float64    `json:"best_static_eps"`
-	AdaptiveEPS   float64    `json:"adaptive_eps"`
-	// AdaptiveVsBestPct is (adaptive/best - 1)*100; the gate requires
-	// it to stay above -XDomainAdaptivePct.
-	AdaptiveVsBestPct float64 `json:"adaptive_vs_best_pct"`
-	BatchRaises       int64   `json:"batch_raises"`
-	BatchShrinks      int64   `json:"batch_shrinks"`
-	GatePct           float64 `json:"gate_pct"`
-
-	RaiseAllocs float64 `json:"sync_raise_allocs_per_op"`
-	Pass        bool    `json:"pass"`
-}
-
-// WriteJSON serializes the report (indented, trailing newline).
-func (r *XDomainReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
 
 // xdomainHops is the pipeline depth: stages alternate domains, so every
 // interior raise crosses a domain edge.
@@ -196,6 +154,7 @@ func ktuneEPS(domains, k, total int, tune bool) (float64, int64, int64) {
 			s.RaiseAsync(evs[d])
 		}
 	}
+	runtime.GC()
 
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -218,119 +177,70 @@ func ktuneEPS(domains, k, total int, tune bool) (float64, int64, int64) {
 	return float64(goal) / elapsed.Seconds(), raises, shrinks
 }
 
-// bestKtuneEPS returns the best of three timed runs (after a warm-up),
-// with the winning run's tuner decision counters.
-func bestKtuneEPS(domains, k, total int, tune bool) (float64, int64, int64) {
-	ktuneEPS(domains, k, total/4+1, tune) // warm-up
-	best, raises, shrinks := 0.0, int64(0), int64(0)
-	for i := 0; i < 3; i++ {
-		runtime.GC()
-		if r, ra, sh := ktuneEPS(domains, k, total, tune); r > best {
-			best, raises, shrinks = r, ra, sh
-		}
-	}
-	return best, raises, shrinks
-}
-
-// RunXDomain measures the cross-domain continuation-handoff layer and
-// the adaptive batch-size tuner. Three gates:
+// sampleXDomain measures the cross-domain continuation-handoff layer
+// and the adaptive batch-size tuner. The xdomain gate bounds two of its
+// metrics:
 //
 //  1. the merged pipeline (every link a cross-domain handoff) must beat
 //     enqueue-per-link by XDomainGateSpeedup;
 //  2. after a backlog phase shift, the controller-tuned drain must come
-//     within XDomainAdaptivePct of the best statically-pinned K;
-//  3. the driving sync raise must stay allocation-free with coalescing
-//     and handoff enabled.
+//     within XDomainAdaptivePct of the best statically-pinned K.
 //
-// Loaded CI machines get a few attempts at the timed gates; the best
-// attempt counts.
-func RunXDomain(w io.Writer, events int) (*XDomainReport, error) {
-	rep := &XDomainReport{
-		CPUs: runtime.NumCPU(), Hops: xdomainHops,
-		GateSpeedup: XDomainGateSpeedup, GatePct: XDomainAdaptivePct,
-	}
-
+// The driving sync raise must stay allocation-free with coalescing and
+// handoff enabled, and the merged pipeline must hand off: either failure
+// fails the sample outright.
+func sampleXDomain(w io.Writer, events int) (Metrics, error) {
+	m := Metrics{}
 	pops := events / 10
 	if pops < 1000 {
 		pops = 1000
 	}
-	rep.PipelineOps = pops
-	header(w, fmt.Sprintf("Cross-domain continuation handoff (%d-hop pipeline, 2 domains)", xdomainHops))
-	for try := 0; try < 4; try++ {
-		unm, _ := xdomainPipelineOp(false)
-		mrg, ms := xdomainPipelineOp(true)
-		dUn, dMg := measurePair(pops, unm, mrg)
-		x := 0.0
-		if dMg > 0 {
-			x = float64(dUn) / float64(dMg)
-		}
-		if x > rep.PipelineX {
-			rep.UnmergedNs = float64(dUn.Nanoseconds())
-			rep.MergedNs = float64(dMg.Nanoseconds())
-			rep.PipelineX = x
-		}
-		if st := ms.StatsAggregate(); st.XDomainHandoffs == 0 {
-			return rep, fmt.Errorf("merged pipeline never handed off across domains")
-		}
-		if rep.PipelineX >= XDomainGateSpeedup {
-			break
-		}
+	unm, _ := xdomainPipelineOp(false)
+	mrg, ms := xdomainPipelineOp(true)
+	dUn, dMg := measurePair(pops, unm, mrg)
+	if st := ms.StatsAggregate(); st.XDomainHandoffs == 0 {
+		return m, fmt.Errorf("merged pipeline never handed off across domains")
 	}
+	m["pipeline_unmerged_ns"], m["pipeline_merged_ns"] = ns(dUn), ns(dMg)
+	m["pipeline_speedup"] = ns(dUn) / ns(dMg)
+	header(w, fmt.Sprintf("Cross-domain continuation handoff (%d-hop pipeline, 2 domains)", xdomainHops))
 	fmt.Fprintf(w, "%-18s %12s\n", "Variant", "ns/op")
-	fmt.Fprintf(w, "%-18s %12.1f\n", "enqueue-per-link", rep.UnmergedNs)
-	fmt.Fprintf(w, "%-18s %12.1f\n", "handoff-merged", rep.MergedNs)
-	fmt.Fprintf(w, "pipeline speedup: %.2fx (gate %.2fx)\n", rep.PipelineX, XDomainGateSpeedup)
+	fmt.Fprintf(w, "%-18s %12.1f\n", "enqueue-per-link", m["pipeline_unmerged_ns"])
+	fmt.Fprintf(w, "%-18s %12.1f\n", "handoff-merged", m["pipeline_merged_ns"])
+	fmt.Fprintf(w, "pipeline speedup: %.2fx\n", m["pipeline_speedup"])
 
 	// Sync-raise allocations through the merged pipeline: warmed pools,
-	// then the whole op (raise + drain of four handoffs) must be free.
-	mrg, _ := xdomainPipelineOp(true)
+	// then the whole op (raise + drain of every handoff) must be free.
+	// The error is returned after the sweep below, so the sample still
+	// reports every metric.
 	for i := 0; i < 100; i++ {
 		mrg()
 	}
-	rep.RaiseAllocs = testing.AllocsPerRun(200, mrg)
-	fmt.Fprintf(w, "sync raise with coalescing: %.2f allocs/op\n", rep.RaiseAllocs)
+	m["sync_raise_allocs"] = testing.AllocsPerRun(200, mrg)
+	fmt.Fprintf(w, "sync raise with coalescing: %.2f allocs/op\n", m["sync_raise_allocs"])
 
 	const ktuneDomains = 4
 	header(w, fmt.Sprintf("Adaptive drain-batch tuning (%d domains, backlog phase shift)", ktuneDomains))
 	fmt.Fprintf(w, "%-10s %16s\n", "Batch K", "ev/s")
-	statics := []int{1, 16, 64, 128}
-	for try := 0; try < 3; try++ {
-		rows := make([]KTuneRow, 0, len(statics))
-		bestK, bestEPS := 0, 0.0
-		for _, k := range statics {
-			eps, _, _ := bestKtuneEPS(ktuneDomains, k, events, false)
-			r := KTuneRow{K: k, EPS: eps}
-			rows = append(rows, r)
-			if r.EPS > bestEPS {
-				bestK, bestEPS = k, r.EPS
-			}
+	bestK, bestEPS := 0, 0.0
+	for _, k := range []int{1, 16, 64, 128} {
+		eps, _, _ := ktuneEPS(ktuneDomains, k, events, false)
+		m[fmt.Sprintf("k%d.eps", k)] = eps
+		if eps > bestEPS {
+			bestK, bestEPS = k, eps
 		}
-		adap, raises, shrinks := bestKtuneEPS(ktuneDomains, 0, events, true)
-		pct := 100 * (adap - bestEPS) / bestEPS
-		if rep.AdaptiveEPS == 0 || pct > rep.AdaptiveVsBestPct {
-			rep.StaticRows, rep.BestStaticK, rep.BestStaticEPS = rows, bestK, bestEPS
-			rep.AdaptiveEPS, rep.AdaptiveVsBestPct = adap, pct
-			rep.BatchRaises, rep.BatchShrinks = raises, shrinks
-		}
-		if rep.AdaptiveVsBestPct >= -XDomainAdaptivePct {
-			break
-		}
+		fmt.Fprintf(w, "%-10d %16.0f\n", k, eps)
 	}
-	for _, r := range rep.StaticRows {
-		fmt.Fprintf(w, "%-10d %16.0f\n", r.K, r.EPS)
-	}
-	fmt.Fprintf(w, "%-10s %16.0f  (%+.1f%% vs best static K=%d, gate -%.0f%%)\n",
-		"adaptive", rep.AdaptiveEPS, rep.AdaptiveVsBestPct, rep.BestStaticK, XDomainAdaptivePct)
-	fmt.Fprintf(w, "tuner decisions during winning drain: %d raises, %d shrinks\n",
-		rep.BatchRaises, rep.BatchShrinks)
+	adap, raises, shrinks := ktuneEPS(ktuneDomains, 0, events, true)
+	m["best_static_eps"], m["adaptive_eps"] = bestEPS, adap
+	m["adaptive_vs_best_pct"] = overPct(adap, bestEPS)
+	m["batch_raises"], m["batch_shrinks"] = float64(raises), float64(shrinks)
+	fmt.Fprintf(w, "%-10s %16.0f  (%+.1f%% vs best static K=%d)\n",
+		"adaptive", adap, m["adaptive_vs_best_pct"], bestK)
+	fmt.Fprintf(w, "tuner decisions during the adaptive drain: %d raises, %d shrinks\n", raises, shrinks)
 
-	rep.Pass = rep.PipelineX >= XDomainGateSpeedup &&
-		rep.AdaptiveVsBestPct >= -XDomainAdaptivePct &&
-		rep.RaiseAllocs == 0
-	if !rep.Pass {
-		return rep, fmt.Errorf(
-			"xdomain gate failed: pipeline %.2fx (want >= %.2fx), adaptive %+.1f%% vs best static (want >= -%.0f%%), raise allocs %.2f (want 0)",
-			rep.PipelineX, XDomainGateSpeedup, rep.AdaptiveVsBestPct, XDomainAdaptivePct, rep.RaiseAllocs)
+	if m["sync_raise_allocs"] != 0 {
+		return m, fmt.Errorf("sync raise with coalescing allocates %.2f/op (want 0)", m["sync_raise_allocs"])
 	}
-	return rep, nil
+	return m, nil
 }
